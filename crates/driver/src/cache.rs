@@ -55,6 +55,7 @@ use std::sync::Mutex;
 use impact_obs::{names, Telemetry};
 use impact_vm::{fnv1a64, FaultPlan};
 
+use crate::flags::{self, Digest, Entry};
 use crate::report::{atomic_write_in, json_str};
 use crate::{Options, RunSpec};
 use impact_cfront::Source;
@@ -142,11 +143,10 @@ pub struct Cache {
 }
 
 /// Computes the content address of one unit of work: FNV-1a 64 over a
-/// canonical dump of the sources, the run inputs/args, and every
-/// behavior-affecting flag. Mirrors the field-enumeration style of
-/// [`crate::journal::campaign_fingerprint`], so flags that cannot change
-/// pipeline output (telemetry, journaling, `--jobs`, service fault
-/// domains) are excluded by omission.
+/// canonical dump of the sources, the run inputs/args, and every flag the
+/// flag table marks as entering the unit key, in table order. Flags that
+/// cannot change pipeline output (telemetry, journaling, `--jobs`,
+/// journal and service fault domains) are not marked.
 pub fn unit_key(sources: &[Source], runs: &[RunSpec], opts: &Options) -> u64 {
     let mut s = String::new();
     let _ = writeln!(s, "{CACHE_HEADER} key");
@@ -174,25 +174,17 @@ pub fn unit_key(sources: &[Source], runs: &[RunSpec], opts: &Options) -> u64 {
         }
         let _ = writeln!(s, "run-end");
     }
-    let _ = writeln!(s, "threshold {:?}", opts.threshold);
-    let _ = writeln!(s, "budget {:?}", opts.budget);
-    let _ = writeln!(s, "stack_bound {:?}", opts.stack_bound);
-    let _ = writeln!(s, "linearize {:?}", opts.linearization);
-    let _ = writeln!(s, "promote_indirect {}", opts.promote_indirect);
-    let _ = writeln!(s, "opt {}", opts.opt);
-    let _ = writeln!(s, "fuel {:?}", opts.fuel);
-    let _ = writeln!(s, "mem_limit {:?}", opts.mem_limit);
-    let _ = writeln!(s, "profile_in {:?}", opts.profile_in);
-    let _ = writeln!(s, "profile_out {:?}", opts.profile_out);
-    let _ = writeln!(s, "quiet {}", opts.quiet);
-    let mut faults: Vec<&String> = opts
-        .faults
-        .iter()
-        .filter(|f| !crate::journal::is_journal_fault(f) && !crate::serve::is_service_fault(f))
-        .collect();
-    faults.sort();
-    for f in faults {
-        let _ = writeln!(s, "fault {} {f}", f.len());
+    for (key, entry) in flags::digest(opts, Digest::Unit) {
+        match entry {
+            Entry::Scalar(v) => {
+                let _ = writeln!(s, "{key} {v}");
+            }
+            Entry::Items(items) => {
+                for v in items {
+                    let _ = writeln!(s, "{key} {} {v}", v.len());
+                }
+            }
+        }
     }
     fnv1a64(s.as_bytes())
 }

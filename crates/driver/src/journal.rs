@@ -51,6 +51,7 @@ use std::path::{Path, PathBuf};
 
 use impact_vm::{fnv1a64, FaultPlan};
 
+use crate::flags::{self, Digest, Entry};
 use crate::report::{atomic_write_in, STAGING_DIR};
 use crate::Options;
 
@@ -556,66 +557,37 @@ pub fn is_journal_fault(spec: &str) -> bool {
 ///
 /// Returns a message naming the malformed spec.
 pub fn journal_fault_plan(opts: &Options) -> Result<FaultPlan, String> {
-    let plan = FaultPlan::new();
-    for spec in opts.faults.iter().filter(|s| is_journal_fault(s)) {
-        plan.arm_spec(spec)
-            .map_err(|e| format!("bad --fault `{spec}`: {e}"))?;
-    }
-    Ok(plan)
+    opts.fault_plan_where(is_journal_fault)
 }
 
 /// The campaign's config fingerprint: FNV-1a 64 over a canonical dump of
-/// every behavior-affecting flag plus the unit list (batch) — the
-/// identity `--resume` checks before trusting a journal, and the value
-/// recorded in the report-dir manifest.
+/// the unit list (batch) and every flag the flag table marks as entering
+/// the fingerprint — the identity `--resume` checks before trusting a
+/// journal, and the value recorded in the report-dir manifest. Repeatable
+/// flags come first, one line per item, then one line per other flag.
 ///
-/// Telemetry flags (`--explain`, `--decisions-out`, `--trace-out`,
-/// `--metrics-out`) are deliberately *excluded* (by omission from the
-/// dump): observability never changes pipeline behavior, so an
-/// instrumented rerun may resume an uninstrumented campaign's journal
-/// and vice versa.
-///
-/// Service knobs (`--jobs`, `--cache-dir`, `--queue-depth`) are excluded
-/// for the same reason: they tune *how* the campaign executes, never
-/// *what* it computes — parallel, cached, and serial runs of the same
-/// campaign are observationally identical by construction, so a serial
-/// journal may be resumed under `--jobs 4` (and vice versa).
+/// Telemetry and service flags are not marked: they change *how* a
+/// campaign runs, never *what* it computes, so an instrumented or
+/// `--jobs 4` rerun may resume a plain serial campaign's journal.
 pub fn campaign_fingerprint(kind: &str, opts: &Options, units: &[String]) -> u64 {
     let mut s = String::new();
     let _ = writeln!(s, "kind {kind}");
     for u in units {
         let _ = writeln!(s, "unit {}", escape(u));
     }
-    for (name, path) in &opts.inputs {
-        let _ = writeln!(s, "input {}={}", escape(name), escape(path));
+    let entries = flags::digest(opts, Digest::Campaign);
+    for (key, entry) in &entries {
+        if let Entry::Items(items) = entry {
+            for v in items {
+                let _ = writeln!(s, "{key} {}", escape(v));
+            }
+        }
     }
-    for a in &opts.args {
-        let _ = writeln!(s, "arg {}", escape(a));
+    for (key, entry) in &entries {
+        if let Entry::Scalar(v) = entry {
+            let _ = writeln!(s, "{key} {v}");
+        }
     }
-    let mut faults: Vec<&String> = opts
-        .faults
-        .iter()
-        .filter(|f| !is_journal_fault(f))
-        .collect();
-    faults.sort();
-    for f in faults {
-        let _ = writeln!(s, "fault {}", escape(f));
-    }
-    let _ = writeln!(s, "threshold {:?}", opts.threshold);
-    let _ = writeln!(s, "budget {:?}", opts.budget);
-    let _ = writeln!(s, "stack_bound {:?}", opts.stack_bound);
-    let _ = writeln!(s, "linearize {:?}", opts.linearization);
-    let _ = writeln!(s, "promote_indirect {}", opts.promote_indirect);
-    let _ = writeln!(s, "opt {}", opts.opt);
-    let _ = writeln!(s, "fuel {:?}", opts.fuel);
-    let _ = writeln!(s, "mem_limit {:?}", opts.mem_limit);
-    let _ = writeln!(s, "time_limit_ms {:?}", opts.time_limit_ms);
-    let _ = writeln!(s, "retries {:?}", opts.retries);
-    let _ = writeln!(s, "retry_base_ms {:?}", opts.retry_base_ms);
-    let _ = writeln!(s, "report_dir {:?}", opts.report_dir);
-    let _ = writeln!(s, "fault_unit {:?}", opts.fault_unit);
-    let _ = writeln!(s, "workloads {}", opts.workloads);
-    let _ = writeln!(s, "seed {:?}", opts.seed);
     fnv1a64(s.as_bytes())
 }
 

@@ -24,6 +24,7 @@ use impact_opt::optimize_module_observed;
 use impact_vm::{profile_runs, Engine, FaultPlan, IcacheConfig, NamedFile, Profile, VmConfig};
 
 pub mod cache;
+mod flags;
 pub mod fuzz;
 pub mod journal;
 pub mod minimize;
@@ -37,135 +38,102 @@ pub(crate) mod transport;
 
 use report::PipelineFailure;
 
-/// A parsed command line.
-#[derive(Clone, Debug, PartialEq)]
+/// A parsed command line. Each flag sets one field; the flag table in
+/// `flags.rs` declares which, and documents every flag.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Options {
-    /// Subcommand: `compile`, `run`, `inline`, `callgraph`, or `bench`.
+    /// Subcommand: `compile`, `run`, `inline`, `callgraph`, `bench`,
+    /// `batch`, `fuzz`, `serve`, or `request`.
     pub command: String,
-    /// Positional arguments (source paths, or a benchmark name for
-    /// `bench`).
+    /// Positional arguments (source paths, units, a benchmark name, or a
+    /// socket path).
     pub positional: Vec<String>,
     /// `--input name=path` pairs: files made visible to the program.
     pub inputs: Vec<(String, String)>,
     /// `--arg v` values passed as program arguments.
     pub args: Vec<String>,
-    /// `--threshold N` (arc-weight threshold).
+    /// `--threshold N`: arc-weight threshold.
     pub threshold: Option<u64>,
-    /// `--budget F` (code-growth limit).
+    /// `--budget F`: code-growth limit (for `fuzz`, the program count).
     pub budget: Option<f64>,
-    /// `--stack-bound N` (bytes).
+    /// `--stack-bound N`: recursion stack bound in bytes.
     pub stack_bound: Option<u64>,
     /// `--linearize node-weight|reverse|random:<seed>|source`.
     pub linearization: Option<String>,
-    /// `--promote-indirect` (profile-guided indirect-call promotion,
-    /// extension).
+    /// `--promote-indirect`: profile-guided indirect-call promotion.
     pub promote_indirect: bool,
-    /// `--profile-out path`: write the collected profile as text.
+    /// `--profile-out PATH`: write the collected profile as text.
     pub profile_out: Option<String>,
-    /// `--profile-in path`: reuse a previously written profile instead of
-    /// re-running the program.
+    /// `--profile-in PATH`: reuse a written profile instead of profiling.
     pub profile_in: Option<String>,
-    /// `--opt`: run the classical optimization passes (with per-pass
-    /// isolation) after inline expansion.
+    /// `--opt`: run the classical optimization passes after expansion.
     pub opt: bool,
-    /// `--fault KEY[=N]` specs: deterministic fault-injection points
-    /// (repeatable), e.g. `expand:verify:1` or `vm:oom=3`.
+    /// `--fault KEY[=N]` specs (repeatable): deterministic fault points.
     pub faults: Vec<String>,
-    /// `--quiet` (suppress IL dumps).
+    /// `--quiet`: suppress IL dumps.
     pub quiet: bool,
-    /// `--fuel N`: VM instruction budget per run (resource governor).
+    /// `--fuel N`: VM instruction budget per run.
     pub fuel: Option<u64>,
-    /// `--mem-limit N`: VM heap allocation quota in bytes (resource
-    /// governor); see [`impact_vm::Memory::set_quota`].
+    /// `--mem-limit N`: VM heap allocation quota in bytes.
     pub mem_limit: Option<u64>,
-    /// `--time-limit-ms N` (batch): per-attempt wall-clock deadline.
+    /// `--time-limit-ms N`: per-unit wall-clock deadline.
     pub time_limit_ms: Option<u64>,
-    /// `--retries N` (batch): re-attempts for transient failures.
+    /// `--retries N`: re-attempts for transient failures.
     pub retries: Option<u32>,
-    /// `--retry-base-ms N` (batch): base delay of the exponential backoff.
+    /// `--retry-base-ms N`: base delay of the exponential backoff.
     pub retry_base_ms: Option<u64>,
-    /// `--report-dir DIR` (batch): where crash reports and minimized
-    /// reproducers are persisted.
+    /// `--report-dir DIR`: where reports and reproducers are written.
     pub report_dir: Option<String>,
-    /// `--fault-unit NAME` (batch): arm the `--fault` specs for this unit
-    /// only; every other unit runs fault-free.
+    /// `--fault-unit NAME` (batch): arm the `--fault` specs for one unit.
     pub fault_unit: Option<String>,
-    /// `--workloads` (batch): add the twelve bundled benchmarks as units.
+    /// `--workloads` (batch): add the bundled benchmarks as units.
     pub workloads: bool,
     /// `--seed N` (fuzz): campaign seed fixing the whole corpus.
     pub seed: Option<u64>,
-    /// `--journal PATH` (batch/fuzz): record campaign progress to a
-    /// crash-consistent journal at this path.
+    /// `--journal PATH`: record campaign progress to a journal.
     pub journal: Option<String>,
-    /// `--resume` (batch/fuzz): continue the campaign recorded in
-    /// `--journal`, skipping completed units.
+    /// `--resume`: continue the campaign recorded in `--journal`.
     pub resume: bool,
-    /// `--force-resume`: resume even when the journal (or the report-dir
-    /// manifest) records a different config fingerprint.
+    /// `--force-resume`: resume despite a different config fingerprint.
     pub force_resume: bool,
-    /// `--explain` (inline): print the per-call-site inline-decision
-    /// audit table.
+    /// `--explain`: print the inline-decision audit table.
     pub explain: bool,
-    /// `--decisions-out PATH` (inline): write the audit trail as
-    /// schema-versioned JSON.
+    /// `--decisions-out PATH`: write the audit trail as JSON.
     pub decisions_out: Option<String>,
-    /// `--trace-out PATH`: write Chrome trace-event JSON for the run.
+    /// `--trace-out PATH`: write Chrome trace-event JSON.
     pub trace_out: Option<String>,
-    /// `--metrics-out PATH`: write per-stage counters and timings as
-    /// schema-versioned JSON.
+    /// `--metrics-out PATH`: write per-stage counters and timings as JSON.
     pub metrics_out: Option<String>,
-    /// `--jobs N` (batch/serve): worker count for the compile pool
-    /// (default: the number of available cores).
+    /// `--jobs N`: compile-pool worker count (default: available cores).
     pub jobs: Option<usize>,
-    /// `--cache-dir DIR` (batch/serve): content-addressed artifact cache
-    /// directory.
+    /// `--cache-dir DIR`: content-addressed artifact cache directory.
     pub cache_dir: Option<String>,
-    /// `--queue-depth N` (serve): bound of the request queue; a full
-    /// queue sheds new requests with an immediate `busy` response.
+    /// `--queue-depth N` (serve): bound of the request queue.
     pub queue_depth: Option<usize>,
-    /// `--cache-budget-bytes N` (batch/serve): total on-disk byte budget
-    /// across cache entries; past it, least-recently-used entries are
-    /// evicted (quarantined bytes reclaimed first, pinned reads never).
+    /// `--cache-budget-bytes N`: LRU byte budget of the cache.
     pub cache_budget_bytes: Option<u64>,
-    /// `--deadline-ms N` (request): overall client deadline across all
-    /// retry attempts; per-attempt socket timeouts shrink as it runs down.
+    /// `--deadline-ms N` (request): overall client deadline.
     pub deadline_ms: Option<u64>,
-    /// `--ping` (request): run the daemon health self-checks instead of
-    /// compiling.
+    /// `--ping` (request): run the daemon health self-checks.
     pub ping: bool,
-    /// `--tcp HOST:PORT` (serve): also bind a TCP listener alongside the
-    /// Unix socket, serving the same protocol to remote clients.
+    /// `--tcp HOST:PORT` (serve): also listen on TCP.
     pub tcp: Option<String>,
-    /// `--max-conns N` (serve): accept-time cap on connections admitted
-    /// but not yet finished; past it new connections are shed with an
-    /// immediate `busy` response.
+    /// `--max-conns N` (serve): accept-time connection cap.
     pub max_conns: Option<u64>,
-    /// `--remote ENDPOINTS` (batch): ship each file unit to this
-    /// comma-separated daemon fleet instead of compiling locally.
+    /// `--remote ENDPOINTS` (batch): ship units to a daemon fleet.
     pub remote: Option<String>,
-    /// `--engine interp|bytecode`: which VM execution engine runs the
-    /// program (default `bytecode`). The engines are proven behaviorally
-    /// identical by the parity suite, so — like the telemetry flags —
-    /// this cannot change any output and is excluded from campaign
-    /// fingerprints and cache keys.
+    /// `--engine interp|bytecode`: VM execution engine. The engines are
+    /// behaviorally identical, so this enters no digest.
     pub engine: Option<String>,
-    /// `--icache`: replay the dynamic instruction stream through the
-    /// paper-era simulated instruction cache (8 KiB direct-mapped,
-    /// 32-byte lines) and report hit/miss statistics. Composes with
-    /// either `--engine`; the simulated stream is identical on both.
+    /// `--icache`: replay the run through the simulated icache.
     pub icache: bool,
-    /// `--stats` (request): ask the daemon for a live stats snapshot
-    /// rendered as a human-readable table instead of compiling.
+    /// `--stats` (request): live daemon stats as a table.
     pub stats: bool,
-    /// `--stats-prom` (request): like `--stats` but rendered as
-    /// Prometheus text exposition, suitable for scraping.
+    /// `--stats-prom` (request): live daemon stats as Prometheus text.
     pub stats_prom: bool,
-    /// `--stats-json` (request): like `--stats` but rendered as the
-    /// versioned stats JSON document.
+    /// `--stats-json` (request): live daemon stats as JSON.
     pub stats_json: bool,
-    /// `--flight-recorder N` (serve): capacity of the in-memory ring of
-    /// recent structured events dumped on panic/quarantine/protocol
-    /// violation and at drain (default 256).
+    /// `--flight-recorder N` (serve): flight-recorder ring capacity.
     pub flight_recorder: Option<usize>,
 }
 
@@ -176,223 +144,12 @@ impl Options {
     ///
     /// Returns a usage message on malformed input.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
-        let mut it = argv.iter().peekable();
-        let command = it.next().cloned().ok_or_else(usage)?;
+        let (command, args) = argv.split_first().ok_or_else(usage)?;
         let mut opts = Options {
-            command,
-            positional: Vec::new(),
-            inputs: Vec::new(),
-            args: Vec::new(),
-            threshold: None,
-            budget: None,
-            stack_bound: None,
-            linearization: None,
-            promote_indirect: false,
-            profile_out: None,
-            profile_in: None,
-            opt: false,
-            faults: Vec::new(),
-            quiet: false,
-            fuel: None,
-            mem_limit: None,
-            time_limit_ms: None,
-            retries: None,
-            retry_base_ms: None,
-            report_dir: None,
-            fault_unit: None,
-            workloads: false,
-            seed: None,
-            journal: None,
-            resume: false,
-            force_resume: false,
-            explain: false,
-            decisions_out: None,
-            trace_out: None,
-            metrics_out: None,
-            jobs: None,
-            cache_dir: None,
-            queue_depth: None,
-            cache_budget_bytes: None,
-            deadline_ms: None,
-            ping: false,
-            tcp: None,
-            max_conns: None,
-            remote: None,
-            engine: None,
-            icache: false,
-            stats: false,
-            stats_prom: false,
-            stats_json: false,
-            flight_recorder: None,
+            command: command.clone(),
+            ..Options::default()
         };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--input" => {
-                    let v = it.next().ok_or("--input needs name=path".to_string())?;
-                    let (name, path) = v
-                        .split_once('=')
-                        .ok_or("--input needs name=path".to_string())?;
-                    opts.inputs.push((name.to_string(), path.to_string()));
-                }
-                "--arg" => {
-                    let v = it.next().ok_or("--arg needs a value".to_string())?;
-                    opts.args.push(v.clone());
-                }
-                "--threshold" => {
-                    let v = it.next().ok_or("--threshold needs a number".to_string())?;
-                    opts.threshold = Some(v.parse().map_err(|_| "bad --threshold")?);
-                }
-                "--budget" => {
-                    let v = it.next().ok_or("--budget needs a number".to_string())?;
-                    opts.budget = Some(v.parse().map_err(|_| "bad --budget")?);
-                }
-                "--stack-bound" => {
-                    let v = it
-                        .next()
-                        .ok_or("--stack-bound needs a number".to_string())?;
-                    opts.stack_bound = Some(v.parse().map_err(|_| "bad --stack-bound")?);
-                }
-                "--linearize" => {
-                    let v = it
-                        .next()
-                        .ok_or("--linearize needs a strategy".to_string())?;
-                    opts.linearization = Some(v.clone());
-                }
-                "--promote-indirect" => opts.promote_indirect = true,
-                "--profile-out" => {
-                    let v = it.next().ok_or("--profile-out needs a path".to_string())?;
-                    opts.profile_out = Some(v.clone());
-                }
-                "--profile-in" => {
-                    let v = it.next().ok_or("--profile-in needs a path".to_string())?;
-                    opts.profile_in = Some(v.clone());
-                }
-                "--opt" => opts.opt = true,
-                "--fault" => {
-                    let v = it.next().ok_or("--fault needs KEY[=N]".to_string())?;
-                    opts.faults.push(v.clone());
-                }
-                "--quiet" => opts.quiet = true,
-                "--fuel" => {
-                    let v = it.next().ok_or("--fuel needs a number".to_string())?;
-                    opts.fuel = Some(v.parse().map_err(|_| "bad --fuel")?);
-                }
-                "--mem-limit" => {
-                    let v = it.next().ok_or("--mem-limit needs a number".to_string())?;
-                    opts.mem_limit = Some(v.parse().map_err(|_| "bad --mem-limit")?);
-                }
-                "--time-limit-ms" => {
-                    let v = it
-                        .next()
-                        .ok_or("--time-limit-ms needs a number".to_string())?;
-                    opts.time_limit_ms = Some(v.parse().map_err(|_| "bad --time-limit-ms")?);
-                }
-                "--retries" => {
-                    let v = it.next().ok_or("--retries needs a number".to_string())?;
-                    opts.retries = Some(v.parse().map_err(|_| "bad --retries")?);
-                }
-                "--retry-base-ms" => {
-                    let v = it
-                        .next()
-                        .ok_or("--retry-base-ms needs a number".to_string())?;
-                    opts.retry_base_ms = Some(v.parse().map_err(|_| "bad --retry-base-ms")?);
-                }
-                "--report-dir" => {
-                    let v = it.next().ok_or("--report-dir needs a path".to_string())?;
-                    opts.report_dir = Some(v.clone());
-                }
-                "--fault-unit" => {
-                    let v = it.next().ok_or("--fault-unit needs a name".to_string())?;
-                    opts.fault_unit = Some(v.clone());
-                }
-                "--workloads" => opts.workloads = true,
-                "--journal" => {
-                    let v = it.next().ok_or("--journal needs a path".to_string())?;
-                    opts.journal = Some(v.clone());
-                }
-                "--resume" => opts.resume = true,
-                "--force-resume" => opts.force_resume = true,
-                "--explain" => opts.explain = true,
-                "--decisions-out" => {
-                    let v = it
-                        .next()
-                        .ok_or("--decisions-out needs a path".to_string())?;
-                    opts.decisions_out = Some(v.clone());
-                }
-                "--trace-out" => {
-                    let v = it.next().ok_or("--trace-out needs a path".to_string())?;
-                    opts.trace_out = Some(v.clone());
-                }
-                "--metrics-out" => {
-                    let v = it.next().ok_or("--metrics-out needs a path".to_string())?;
-                    opts.metrics_out = Some(v.clone());
-                }
-                "--seed" => {
-                    let v = it.next().ok_or("--seed needs a number".to_string())?;
-                    opts.seed = Some(v.parse().map_err(|_| "bad --seed")?);
-                }
-                "--jobs" => {
-                    let v = it.next().ok_or("--jobs needs a number".to_string())?;
-                    opts.jobs = Some(v.parse().map_err(|_| "bad --jobs")?);
-                }
-                "--cache-dir" => {
-                    let v = it.next().ok_or("--cache-dir needs a path".to_string())?;
-                    opts.cache_dir = Some(v.clone());
-                }
-                "--queue-depth" => {
-                    let v = it
-                        .next()
-                        .ok_or("--queue-depth needs a number".to_string())?;
-                    opts.queue_depth = Some(v.parse().map_err(|_| "bad --queue-depth")?);
-                }
-                "--cache-budget-bytes" => {
-                    let v = it
-                        .next()
-                        .ok_or("--cache-budget-bytes needs a number".to_string())?;
-                    opts.cache_budget_bytes =
-                        Some(v.parse().map_err(|_| "bad --cache-budget-bytes")?);
-                }
-                "--deadline-ms" => {
-                    let v = it
-                        .next()
-                        .ok_or("--deadline-ms needs a number".to_string())?;
-                    opts.deadline_ms = Some(v.parse().map_err(|_| "bad --deadline-ms")?);
-                }
-                "--ping" => opts.ping = true,
-                "--tcp" => {
-                    let v = it.next().ok_or("--tcp needs HOST:PORT".to_string())?;
-                    opts.tcp = Some(v.clone());
-                }
-                "--max-conns" => {
-                    let v = it.next().ok_or("--max-conns needs a number".to_string())?;
-                    opts.max_conns = Some(v.parse().map_err(|_| "bad --max-conns")?);
-                }
-                "--remote" => {
-                    let v = it
-                        .next()
-                        .ok_or("--remote needs an endpoint list".to_string())?;
-                    opts.remote = Some(v.clone());
-                }
-                "--engine" => {
-                    let v = it.next().ok_or("--engine needs a name".to_string())?;
-                    opts.engine = Some(v.clone());
-                }
-                "--icache" => opts.icache = true,
-                "--stats" => opts.stats = true,
-                "--stats-prom" => opts.stats_prom = true,
-                "--stats-json" => opts.stats_json = true,
-                "--flight-recorder" => {
-                    let v = it
-                        .next()
-                        .ok_or("--flight-recorder needs a capacity".to_string())?;
-                    opts.flight_recorder = Some(v.parse().map_err(|_| "bad --flight-recorder")?);
-                }
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown option `{other}`\n{}", usage()));
-                }
-                other => opts.positional.push(other.to_string()),
-            }
-        }
+        flags::parse_into(&mut opts, args)?;
         Ok(opts)
     }
 
@@ -402,8 +159,18 @@ impl Options {
     ///
     /// Returns a message naming the malformed spec.
     pub fn fault_plan(&self) -> Result<FaultPlan, String> {
+        self.fault_plan_where(|_| true)
+    }
+
+    /// Builds a fault-injection plan from the `--fault` specs `keep`
+    /// selects (a fault domain: pipeline, journal or service).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the malformed spec.
+    pub(crate) fn fault_plan_where(&self, keep: fn(&str) -> bool) -> Result<FaultPlan, String> {
         let plan = FaultPlan::new();
-        for spec in &self.faults {
+        for spec in self.faults.iter().filter(|s| keep(s)) {
             plan.arm_spec(spec)
                 .map_err(|e| format!("bad --fault `{spec}`: {e}"))?;
         }
@@ -429,14 +196,15 @@ impl Options {
     }
 
     /// Builds the VM configuration from the resource-governor flags,
-    /// threading `fault` through it. Validates `--fuel`, `--mem-limit`,
-    /// and `--engine` the same way `--budget`/`--stack-bound` are, and
-    /// arms the simulated instruction cache for `--icache`.
+    /// threading `fault` through it. Validates `--engine` and rejects
+    /// zero values, and arms the simulated instruction cache for
+    /// `--icache`.
     ///
     /// # Errors
     ///
     /// Returns an actionable message for out-of-range values.
     pub fn vm_config(&self, fault: FaultPlan) -> Result<VmConfig, String> {
+        flags::check_zero(self)?;
         let mut cfg = VmConfig {
             fault,
             engine: self.engine_choice()?,
@@ -445,33 +213,17 @@ impl Options {
         if self.icache {
             cfg.icache = Some(IcacheConfig::small_direct_mapped());
         }
-        if let Some(fuel) = self.fuel {
-            if fuel == 0 {
-                return Err("--fuel 0 would stop the VM before its first instruction; \
-                     use a positive instruction budget (default 2000000000)"
-                    .to_string());
-            }
-            cfg.max_steps = fuel;
-        }
-        if let Some(limit) = self.mem_limit {
-            if limit == 0 {
-                return Err(
-                    "--mem-limit 0 would reject the program's first allocation; \
-                     use a positive heap quota in bytes"
-                        .to_string(),
-                );
-            }
-            cfg.mem_limit = Some(limit);
-        }
+        cfg.max_steps = self.fuel.unwrap_or(cfg.max_steps);
+        cfg.mem_limit = self.mem_limit.or(cfg.mem_limit);
         Ok(cfg)
     }
 
     /// Builds the inline configuration from the flags.
     pub fn inline_config(&self) -> Result<InlineConfig, String> {
+        flags::check_zero(self)?;
         let mut cfg = InlineConfig::default();
-        if let Some(t) = self.threshold {
-            cfg.weight_threshold = t;
-        }
+        cfg.weight_threshold = self.threshold.unwrap_or(cfg.weight_threshold);
+        cfg.stack_bound = self.stack_bound.unwrap_or(cfg.stack_bound);
         if let Some(b) = self.budget {
             if !b.is_finite() {
                 return Err(format!(
@@ -486,16 +238,6 @@ impl Options {
                 ));
             }
             cfg.code_growth_limit = b;
-        }
-        if let Some(s) = self.stack_bound {
-            if s == 0 {
-                return Err(
-                    "--stack-bound 0 would reject every expansion into a recursive \
-                     region; use a positive byte bound (default 4096)"
-                        .to_string(),
-                );
-            }
-            cfg.stack_bound = s;
         }
         cfg.fault = self.fault_plan()?;
         cfg.promote_indirect = self.promote_indirect;
@@ -515,50 +257,17 @@ impl Options {
         Ok(cfg)
     }
 
-    /// Builds the service configuration from the parallelism/caching
-    /// flags, validating them the same way the governor flags are.
-    ///
-    /// # Errors
-    ///
-    /// Returns an actionable message for out-of-range values.
-    pub fn service_config(&self) -> Result<ServiceConfig, String> {
-        if self.jobs == Some(0) {
-            return Err(
-                "--jobs 0 would run no compile workers; use a positive worker \
-                 count (default: the number of available cores)"
-                    .to_string(),
-            );
-        }
-        if self.queue_depth == Some(0) {
-            return Err(format!(
-                "--queue-depth 0 would shed every request before a worker could \
-                 accept one; use a positive queue bound (default {DEFAULT_QUEUE_DEPTH})"
-            ));
-        }
-        if self.cache_dir.as_deref() == Some("") {
-            return Err(
-                "--cache-dir needs a non-empty directory path for the artifact cache".to_string(),
-            );
-        }
-        if self.cache_budget_bytes == Some(0) {
-            return Err(
-                "--cache-budget-bytes 0 would evict every entry the moment it was \
-                 stored; use a positive byte budget, or omit the flag for an \
-                 unbounded cache"
-                    .to_string(),
-            );
-        }
+    /// Validates the service flags: zero values, and the rules that span
+    /// flags or parse a value's shape (`--tcp`, endpoint lists, the daemon
+    /// interrogations).
+    pub(crate) fn check_service(&self) -> Result<(), String> {
+        flags::check_zero(self)?;
         if self.cache_budget_bytes.is_some() && self.cache_dir.is_none() {
             return Err(
                 "--cache-budget-bytes needs --cache-dir (there is no cache to \
                  bound without one)"
                     .to_string(),
             );
-        }
-        if self.deadline_ms == Some(0) {
-            return Err("--deadline-ms 0 would expire the request before its first \
-                 attempt; use a positive overall deadline in milliseconds"
-                .to_string());
         }
         if let Some(addr) = &self.tcp {
             let ok = addr.rsplit_once(':').is_some_and(|(host, port)| {
@@ -570,13 +279,6 @@ impl Options {
                 ));
             }
         }
-        if self.max_conns == Some(0) {
-            return Err(
-                "--max-conns 0 would shed every connection at accept time; use a \
-                 positive cap, or omit the flag for an unbounded daemon"
-                    .to_string(),
-            );
-        }
         if let Some(list) = &self.remote {
             if list.is_empty() || list.split(',').any(str::is_empty) {
                 return Err(
@@ -586,49 +288,43 @@ impl Options {
                 );
             }
         }
-        if self.ping && self.positional.first().is_some_and(|p| p.contains(',')) {
-            return Err("--ping probes a single daemon; give one endpoint, not a \
-                 comma-separated list"
-                .to_string());
-        }
-        let stats_flags = [
+        // The daemon interrogations: one per request, of one daemon.
+        let asked: Vec<&str> = [
+            (self.ping, "--ping"),
             (self.stats, "--stats"),
             (self.stats_prom, "--stats-prom"),
             (self.stats_json, "--stats-json"),
-        ];
-        let picked: Vec<&str> = stats_flags
-            .iter()
-            .filter(|(on, _)| *on)
-            .map(|&(_, name)| name)
-            .collect();
-        if picked.len() > 1 {
+        ]
+        .into_iter()
+        .filter_map(|(on, name)| on.then_some(name))
+        .collect();
+        if asked.len() > 1 {
             return Err(format!(
-                "{} asks for one stats snapshot in two formats; pick exactly one \
-                 of --stats, --stats-prom, --stats-json",
-                picked.join(" and ")
+                "{} are different daemon interrogations; pick one of --ping, \
+                 --stats, --stats-prom, --stats-json per request",
+                asked.join(" and ")
             ));
         }
-        if let Some(flag) = picked.first() {
-            if self.ping {
-                return Err(format!(
-                    "{flag} and --ping are different daemon interrogations; run \
-                     them as separate requests"
-                ));
-            }
+        if let Some(flag) = asked.first() {
             if self.positional.first().is_some_and(|p| p.contains(',')) {
                 return Err(format!(
-                    "{flag} snapshots a single daemon; give one endpoint, not a \
+                    "{flag} interrogates a single daemon; give one endpoint, not a \
                      comma-separated list"
                 ));
             }
         }
-        if self.flight_recorder == Some(0) {
-            return Err(
-                "--flight-recorder 0 would record no events before a crash; use a \
-                 positive ring capacity (default 256), or omit the flag"
-                    .to_string(),
-            );
-        }
+        Ok(())
+    }
+
+    /// Validates the service flags ([`Options::validate_flags`] does the
+    /// same) and builds the service configuration, resolving the `--jobs`
+    /// default: call it only where a pool or daemon is sized.
+    ///
+    /// # Errors
+    ///
+    /// Returns an actionable message for out-of-range values.
+    pub fn service_config(&self) -> Result<ServiceConfig, String> {
+        self.check_service()?;
         let jobs = match self.jobs {
             Some(n) => n,
             None => std::thread::available_parallelism()
@@ -648,12 +344,9 @@ impl Options {
         })
     }
 
-    /// Validates the inline *and* VM flag sets in one shot, threading the
-    /// shared fault plan through both — the single flag-validation path
-    /// used by `inline`, `bench`, `batch`, and `fuzz` (previously each
-    /// call site combined [`Options::inline_config`] and
-    /// [`Options::vm_config`] by hand). The service flags (`--jobs`,
-    /// `--cache-dir`, `--queue-depth`) validate through the same call.
+    /// Validates every flag in one shot, building the inline and VM
+    /// configurations around one shared fault plan — the single
+    /// flag-validation path of `inline`, `bench`, `batch`, and `fuzz`.
     ///
     /// # Errors
     ///
@@ -662,23 +355,17 @@ impl Options {
     pub fn validate_flags(&self) -> Result<ValidatedFlags, String> {
         let inline = self.inline_config()?;
         let vm = self.vm_config(inline.fault.clone())?;
-        let service = self.service_config()?;
-        Ok(ValidatedFlags {
-            inline,
-            vm,
-            service,
-        })
+        self.check_service()?;
+        Ok(ValidatedFlags { inline, vm })
     }
 }
 
 /// Default bound of the serve request queue (`--queue-depth`).
 pub const DEFAULT_QUEUE_DEPTH: usize = 8;
 
-/// Service-level settings shared by `batch` and `serve`: pool width,
-/// artifact-cache location, and the serve queue bound. Like the telemetry
-/// flags, none of these change pipeline *behavior*, so they are excluded
-/// from [`journal::campaign_fingerprint`] — a serial campaign's journal
-/// may be resumed with `--jobs 4` and vice versa.
+/// Service-level settings shared by `batch` and `serve`, defaults
+/// applied. None of them change pipeline *behavior*, so none enters a
+/// digest.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Resolved worker count (`--jobs`, default: available cores).
@@ -687,31 +374,42 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Artifact cache directory (`--cache-dir`), when caching is on.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Total on-disk byte budget for the cache (`--cache-budget-bytes`);
-    /// `None` disables eviction.
+    /// Cache byte budget (`--cache-budget-bytes`); `None`: no eviction.
     pub cache_budget_bytes: Option<u64>,
-    /// TCP listen address (`--tcp HOST:PORT`), bound alongside the Unix
-    /// socket when present.
+    /// TCP listen address (`--tcp HOST:PORT`), beside the Unix socket.
     pub tcp: Option<String>,
-    /// Accept-time cap on admitted-but-unfinished connections
-    /// (`--max-conns`); `None` leaves admission bounded only by the
-    /// queue.
+    /// Accept-time connection cap (`--max-conns`); `None`: queue only.
     pub max_conns: Option<u64>,
-    /// Capacity of the serve flight-recorder ring (`--flight-recorder`,
-    /// default [`impact_obs::DEFAULT_FLIGHT_CAPACITY`]).
+    /// Flight-recorder ring capacity (`--flight-recorder`).
     pub flight_recorder: usize,
 }
 
-/// The result of [`Options::validate_flags`]: every configuration, built
-/// from one validation pass and sharing one fault plan.
+impl ServiceConfig {
+    /// Opens the `--cache-dir` artifact cache, if any, under the
+    /// `--cache-budget-bytes` budget and the given `cache:*` fault plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the directory on I/O failure.
+    pub(crate) fn open_cache(
+        &self,
+        obs: &impact_obs::Telemetry,
+        fault: FaultPlan,
+    ) -> Result<Option<cache::Cache>, String> {
+        let open = |dir| cache::Cache::open_with(dir, obs, self.cache_budget_bytes, fault);
+        self.cache_dir.as_deref().map(open).transpose()
+    }
+}
+
+/// The result of [`Options::validate_flags`]: the pipeline
+/// configurations, built from one validation pass and sharing one fault
+/// plan.
 #[derive(Clone, Debug)]
 pub struct ValidatedFlags {
     /// The inline-expander configuration.
     pub inline: InlineConfig,
     /// The VM configuration (resource governor + the same fault plan).
     pub vm: VmConfig,
-    /// The service configuration (pool, cache, queue).
-    pub service: ServiceConfig,
 }
 
 /// The usage text.
@@ -734,8 +432,8 @@ pub fn usage() -> String {
      \x20 fuzz                            differential oracle fuzzing: generate seeded\n\
      \x20                                 C programs, check behavioral equivalence and\n\
      \x20                                 profile invariants across a config lattice,\n\
-     \x20                                 shrink failures into repro files (exit 0 clean,\n\
-     \x20                                 12 divergences found)\n\
+     \x20                                 shrink failures into repro files (exit 0\n\
+     \x20                                 clean, 12 divergences found)\n\
      \x20 serve <socket>                  persistent compile daemon on a Unix socket\n\
      \x20                                 (and, with --tcp, a TCP port): bounded queue\n\
      \x20                                 with overload shedding, crash-isolated request\n\
@@ -745,122 +443,9 @@ pub fn usage() -> String {
      \x20                                 and print the pipeline report; a comma-\n\
      \x20                                 separated endpoint list (socket paths and/or\n\
      \x20                                 host:port) fails over with per-endpoint\n\
-     \x20                                 circuit breakers\n\
-     \n\
-     options:\n\
-     \x20 --input name=path               make a file visible to the program (repeatable)\n\
-     \x20 --arg value                     program argument (repeatable)\n\
-     \x20 --threshold N                   arc-weight threshold (default 10)\n\
-     \x20 --budget F                      code-growth limit (default 2.0)\n\
-     \x20 --stack-bound N                 recursion stack bound in bytes (default 4096)\n\
-     \x20 --linearize S                   node-weight | reverse | source | random:<seed>\n\
-     \x20 --promote-indirect              promote profile-dominated indirect calls (extension)\n\
-     \x20 --profile-out PATH              save the collected profile as text\n\
-     \x20 --profile-in PATH               reuse a saved profile instead of re-profiling\n\
-     \x20 --opt                           run classical optimizations after expansion\n\
-     \x20 --fault KEY[=N]                 arm a deterministic fault point (repeatable),\n\
-     \x20                                 e.g. expand:verify:1, vm:oom=3, profile:parse\n\
-     \x20 --quiet                         suppress IL dumps\n\
-     \n\
-     resource governor (run/inline/bench/batch):\n\
-     \x20 --fuel N                        VM instruction budget per run\n\
-     \x20 --mem-limit N                   VM heap allocation quota in bytes\n\
-     \n\
-     execution engine (run/inline/callgraph/bench/batch/fuzz/serve):\n\
-     \x20 --engine interp|bytecode        VM execution engine (default bytecode: flat\n\
-     \x20                                 register bytecode, measured multiple-x faster;\n\
-     \x20                                 interp is the reference tree-walker — both are\n\
-     \x20                                 behaviorally identical, proven by the parity\n\
-     \x20                                 suite, so results never depend on the choice)\n\
-     \x20 --icache                        replay the instruction stream through the\n\
-     \x20                                 paper-era simulated icache (8 KiB direct-\n\
-     \x20                                 mapped, 32-byte lines) and report miss stats;\n\
-     \x20                                 the stream is identical on either engine\n\
-     \n\
-     batch supervision:\n\
-     \x20 --time-limit-ms N               per-attempt wall-clock deadline (default 10000)\n\
-     \x20 --retries N                     re-attempts for transient failures (default 2)\n\
-     \x20 --retry-base-ms N               backoff base delay (default 25)\n\
-     \x20 --report-dir DIR                persist JSON crash reports + reproducers\n\
-     \x20 --fault-unit NAME               arm --fault specs for this unit only\n\
-     \x20 --workloads                     add the twelve bundled benchmarks as units\n\
-     \x20 --remote ENDPOINTS              ship each file unit to this comma-separated\n\
-     \x20                                 daemon fleet (failover + circuit breakers)\n\
-     \x20                                 instead of compiling locally\n\
-     \n\
-     parallelism and caching (batch/serve):\n\
-     \x20 --jobs N                        compile-pool worker count (default: the\n\
-     \x20                                 number of available cores)\n\
-     \x20 --cache-dir DIR                 content-addressed artifact cache: hits skip\n\
-     \x20                                 recompilation; corrupt or truncated entries\n\
-     \x20                                 are quarantined with an incident report and\n\
-     \x20                                 recompiled, never served\n\
-     \x20 --queue-depth N                 (serve) request queue bound; a full queue\n\
-     \x20                                 sheds new requests with an immediate busy\n\
-     \x20                                 response (default 8)\n\
-     \x20 --cache-budget-bytes N          total on-disk byte budget for the cache;\n\
-     \x20                                 past it, least-recently-used entries are\n\
-     \x20                                 evicted (quarantined bytes reclaimed first,\n\
-     \x20                                 in-flight reads never; needs --cache-dir)\n\
-     \x20 --tcp HOST:PORT                 (serve) also bind a TCP listener serving the\n\
-     \x20                                 same protocol to remote clients\n\
-     \x20 --max-conns N                   (serve) accept-time cap on connections being\n\
-     \x20                                 served; past it new connections are shed with\n\
-     \x20                                 an immediate busy response\n\
-     \x20 --flight-recorder N             (serve) capacity of the in-memory ring of\n\
-     \x20                                 recent structured events dumped as incident\n\
-     \x20                                 JSON on panic/quarantine/protocol violation\n\
-     \x20                                 and at drain (default 256)\n\
-     \n\
-     request client (request):\n\
-     \x20 --retries N                     re-attempts after retryable failures: torn\n\
-     \x20                                 or dropped connections, busy daemons, crashed\n\
-     \x20                                 request workers (default 2)\n\
-     \x20 --retry-base-ms N               backoff base delay between attempts; the\n\
-     \x20                                 daemon's busy retry-after hint overrides the\n\
-     \x20                                 exponential schedule (default 25)\n\
-     \x20 --deadline-ms N                 overall deadline across all attempts; socket\n\
-     \x20                                 timeouts shrink as the budget runs down\n\
-     \x20 --ping                          daemon health self-check instead of compiling:\n\
-     \x20                                 queue headroom and cache-dir writability\n\
-     \x20                                 (exit 0 healthy, 1 degraded)\n\
-     \x20 --stats                         live daemon stats snapshot as a table:\n\
-     \x20                                 counters, latency histograms, queue/cache/\n\
-     \x20                                 idempotency occupancy, breaker states\n\
-     \x20 --stats-prom                    the same snapshot as Prometheus text\n\
-     \x20                                 exposition, suitable for scraping\n\
-     \x20 --stats-json                    the same snapshot as versioned JSON\n\
-     \n\
-     fuzzing:\n\
-     \x20 --seed N                        campaign seed (default 42)\n\
-     \x20 --budget N                      number of programs to check (default 100)\n\
-     \x20 --threshold N                   arc-weight threshold for the oracle's configs\n\
-     \x20 --fault KEY[=N]                 arm fault points in every config (the positive\n\
-     \x20                                 control: armed faults must surface as findings)\n\
-     \x20 --report-dir DIR                where shrunken *.repro.c + JSON oracle reports\n\
-     \x20                                 are written (default fuzz-reports)\n\
-     \n\
-     telemetry (zero-cost unless a flag below is set):\n\
-     \x20 --explain                       (inline) print the per-call-site decision\n\
-     \x20                                 audit table: class, weight, budget state,\n\
-     \x20                                 and the accept/reject reason\n\
-     \x20 --decisions-out PATH            (inline) write the same audit trail as\n\
-     \x20                                 schema-versioned JSON\n\
-     \x20 --trace-out PATH                write Chrome trace-event JSON (load it at\n\
-     \x20                                 chrome://tracing or ui.perfetto.dev)\n\
-     \x20 --metrics-out PATH              write per-stage counters and timings as\n\
-     \x20                                 schema-versioned JSON; batch/fuzz aggregate\n\
-     \x20                                 across all units into campaign-level metrics\n\
-     \n\
-     crash consistency (batch/fuzz):\n\
-     \x20 --journal PATH                  record campaign progress to a checksummed\n\
-     \x20                                 write-ahead journal (fsync'd per event)\n\
-     \x20 --resume                        continue the campaign in --journal: completed\n\
-     \x20                                 units are skipped, in-flight ones re-run, and\n\
-     \x20                                 reports are re-emitted idempotently\n\
-     \x20 --force-resume                  resume even if the journal or report-dir\n\
-     \x20                                 manifest records different campaign flags\n"
+     \x20                                 circuit breakers\n"
         .to_string()
+        + &flags::usage_options()
 }
 
 fn read_sources(paths: &[String]) -> Result<Vec<Source>, String> {
@@ -1341,105 +926,8 @@ pub fn inline_pipeline_observed(
 ///
 /// Returns a human-readable error message.
 pub fn execute(opts: &Options) -> Result<(i32, String), String> {
+    flags::check_scope(opts)?;
     let mut out = String::new();
-    if !matches!(opts.command.as_str(), "batch" | "fuzz")
-        && (opts.journal.is_some() || opts.resume || opts.force_resume)
-    {
-        return Err(format!(
-            "--journal/--resume/--force-resume only apply to campaign commands \
-             (batch, fuzz), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "inline" && (opts.explain || opts.decisions_out.is_some()) {
-        return Err(format!(
-            "--explain/--decisions-out only apply to `inline` (the command that \
-             plans inline expansion), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(
-        opts.command.as_str(),
-        "inline" | "bench" | "batch" | "fuzz" | "serve" | "request"
-    ) && (opts.trace_out.is_some() || opts.metrics_out.is_some())
-    {
-        return Err(format!(
-            "--trace-out/--metrics-out only apply to pipeline commands \
-             (inline, bench, batch, fuzz, serve, request), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(opts.command.as_str(), "batch" | "serve")
-        && (opts.jobs.is_some() || opts.cache_dir.is_some() || opts.cache_budget_bytes.is_some())
-    {
-        return Err(format!(
-            "--jobs/--cache-dir/--cache-budget-bytes only apply to service \
-             commands (batch, serve), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "serve" && opts.queue_depth.is_some() {
-        return Err(format!(
-            "--queue-depth only applies to `serve` (the command with a bounded \
-             request queue), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "serve" && (opts.tcp.is_some() || opts.max_conns.is_some()) {
-        return Err(format!(
-            "--tcp/--max-conns only apply to `serve` (the daemon that binds \
-             listeners), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "batch" && opts.remote.is_some() {
-        return Err(format!(
-            "--remote only applies to `batch` (shipping units to a daemon \
-             fleet), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "request" && (opts.deadline_ms.is_some() || opts.ping) {
-        return Err(format!(
-            "--deadline-ms/--ping only apply to `request` (the client talking \
-             to a serve daemon), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "request" && (opts.stats || opts.stats_prom || opts.stats_json) {
-        return Err(format!(
-            "--stats/--stats-prom/--stats-json only apply to `request` (the \
-             client interrogating a serve daemon), not `{}`",
-            opts.command
-        ));
-    }
-    if opts.command != "serve" && opts.flight_recorder.is_some() {
-        return Err(format!(
-            "--flight-recorder only applies to `serve` (the daemon that keeps \
-             the event ring), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(opts.command.as_str(), "batch" | "request")
-        && (opts.retries.is_some() || opts.retry_base_ms.is_some())
-    {
-        return Err(format!(
-            "--retries/--retry-base-ms only apply to the commands that retry \
-             (batch supervision, request client), not `{}`",
-            opts.command
-        ));
-    }
-    if !matches!(
-        opts.command.as_str(),
-        "run" | "inline" | "callgraph" | "bench" | "batch" | "fuzz" | "serve"
-    ) && (opts.engine.is_some() || opts.icache)
-    {
-        return Err(format!(
-            "--engine/--icache only apply to commands that execute code on the \
-             VM (run, inline, callgraph, bench, batch, fuzz, serve), not `{}`",
-            opts.command
-        ));
-    }
     match opts.command.as_str() {
         "compile" => {
             let module = compile_sources(&opts.positional)?;

@@ -161,8 +161,8 @@ mod tests {
     fn runs_every_task_exactly_once() {
         let tasks: Vec<usize> = (0..40).collect();
         let ran = AtomicUsize::new(0);
-        let mut started = vec![false; 40];
-        let mut done = vec![false; 40];
+        let mut started = [false; 40];
+        let mut done = [false; 40];
         let steals = run(
             &tasks,
             4,

@@ -160,27 +160,9 @@ pub struct CrashReport {
     pub reproducer: Option<ShrinkResult>,
 }
 
-/// Escapes a string for inclusion in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
+/// A JSON string literal for `s`.
 pub(crate) fn json_str(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
+    format!("\"{}\"", impact_obs::json_escape(s))
 }
 
 pub(crate) fn json_str_list(items: &[String]) -> String {
@@ -319,14 +301,6 @@ pub fn write_crash_report(dir: &Path, r: &CrashReport, opts: &Options) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping_handles_quotes_newlines_and_controls() {
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn signature_is_location_free_and_render_carries_it() {

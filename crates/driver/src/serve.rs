@@ -104,7 +104,7 @@ use impact_vm::FaultPlan;
 use crate::supervise::{
     jitter_ms, panic_message, DEFAULT_RETRIES, DEFAULT_RETRY_BASE_MS, DEFAULT_TIME_LIMIT_MS,
 };
-use crate::{cache, journal, load_inputs, telemetry, usage, Options, RunSpec};
+use crate::{cache, load_inputs, telemetry, usage, Options, RunSpec};
 
 /// Protocol magic/version, the first token of every request and response.
 /// v2 added the `ping` verb and the `retry-after-ms` response field; v3
@@ -767,7 +767,6 @@ pub const STATS_SCHEMA_VERSION: u32 = 1;
 /// Renders a stats snapshot as schema-versioned JSON (the shape the CI
 /// `obs-smoke` job validates with `jq`).
 pub fn render_stats_json(s: &StatsSnapshot) -> String {
-    use crate::report::json_str;
     let mut out = String::new();
     out.push_str(&format!(
         "{{\n  \"version\": {STATS_SCHEMA_VERSION},\n  \"kind\": \"impact-serve-stats\",\n"
@@ -796,44 +795,12 @@ pub fn render_stats_json(s: &StatsSnapshot) -> String {
             "  \"cache\": {{\"live\": {live}, \"quarantined\": {quarantined}, \"bytes\": {bytes}}},\n"
         )),
     }
-    out.push_str("  \"counters\": [");
-    for (i, (name, v)) in s.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": {}, \"value\": {v}}}",
-            json_str(name)
-        ));
-    }
-    if !s.counters.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"hists\": [");
-    for (i, (name, h)) in s.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let buckets = h
-            .buckets()
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            "\n    {{\"name\": {}, \"count\": {}, \"total_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"buckets_us\": [{buckets}]}}",
-            json_str(name),
-            h.count(),
-            h.sum(),
-            h.percentile(50),
-            h.percentile(90),
-            h.percentile(99)
-        ));
-    }
-    if !s.hists.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
+    out.push_str("  ");
+    out.push_str(&impact_obs::counters_hists_json(
+        s.counters.iter().map(|(k, v)| (k.as_str(), *v)),
+        s.hists.iter().map(|(k, h)| (k.as_str(), h)),
+    ));
+    out.push_str("\n}\n");
     out
 }
 
@@ -891,33 +858,14 @@ pub fn is_service_fault(spec: &str) -> bool {
 /// counters) is handed to the artifact cache, so `:N`/`=N` occurrence
 /// counts stay global across the daemon and the cache.
 pub(crate) fn service_fault_plan(opts: &Options) -> Result<FaultPlan, String> {
-    let plan = FaultPlan::new();
-    for spec in opts.faults.iter().filter(|s| is_service_fault(s)) {
-        plan.arm_spec(spec)
-            .map_err(|e| format!("bad --fault `{spec}`: {e}"))?;
-    }
-    Ok(plan)
+    opts.fault_plan_where(is_service_fault)
 }
 
-/// Per-request pipeline options: quiet, no artifact/telemetry output
-/// flags (the daemon aggregates telemetry and writes artifacts once, at
-/// drain), no journaling, and service-layer fault specs stripped.
+/// Per-request pipeline options: those of one batch unit
+/// ([`Options::for_unit`]). The daemon aggregates telemetry and writes
+/// artifacts once, at drain.
 fn request_options(opts: &Options) -> Options {
-    let mut o = opts.clone();
-    o.quiet = true;
-    o.positional.clear();
-    o.profile_in = None;
-    o.profile_out = None;
-    o.explain = false;
-    o.decisions_out = None;
-    o.trace_out = None;
-    o.metrics_out = None;
-    o.journal = None;
-    o.resume = false;
-    o.force_resume = false;
-    o.faults
-        .retain(|f| !journal::is_journal_fault(f) && !is_service_fault(f));
-    o
+    opts.for_unit()
 }
 
 // ----- the daemon ----------------------------------------------------------
@@ -1183,17 +1131,9 @@ mod daemon {
         } else {
             impact_obs::Telemetry::counters_only()
         };
-        let artifact_cache = match &service.cache_dir {
-            // The cache shares the daemon's fault plan (cloned plans
-            // share counters) so `cache:*` chaos arms in one place.
-            Some(dir) => Some(cache::Cache::open_with(
-                dir,
-                &obs,
-                service.cache_budget_bytes,
-                plan.clone(),
-            )?),
-            None => None,
-        };
+        // The cache shares the daemon's fault plan (cloned plans share
+        // counters) so `cache:*` chaos arms in one place.
+        let artifact_cache = service.open_cache(&obs, plan.clone())?;
         crate::supervise::silence_worker_panics();
         super::sig::install();
         // Bind TCP (when asked) *before* the Unix socket: the socket
@@ -2203,22 +2143,20 @@ impl<'a> Fleet<'a> {
 pub fn run_request(opts: &Options) -> Result<(i32, String), String> {
     // Client flags (--deadline-ms, endpoint shapes) validate through the
     // same call as the daemon's, so a bad value fails before any I/O.
-    opts.service_config()?;
+    opts.check_service()?;
     let Some((endpoint_arg, files)) = opts.positional.split_first() else {
         return Err(format!(
             "request needs a socket path and at least one .c file\n{}",
             usage()
         ));
     };
-    let stats_format = if opts.stats {
-        Some(StatsFormat::Table)
-    } else if opts.stats_prom {
-        Some(StatsFormat::Prom)
-    } else if opts.stats_json {
-        Some(StatsFormat::Json)
-    } else {
-        None
-    };
+    let stats_format = [
+        (opts.stats, StatsFormat::Table),
+        (opts.stats_prom, StatsFormat::Prom),
+        (opts.stats_json, StatsFormat::Json),
+    ]
+    .into_iter()
+    .find_map(|(on, format)| on.then_some(format));
     if opts.ping || stats_format.is_some() {
         if !files.is_empty() {
             return Err(format!(
@@ -2300,7 +2238,7 @@ pub fn run_batch_remote(opts: &Options) -> Result<(i32, String), String> {
         .remote
         .clone()
         .expect("run_batch_remote requires --remote");
-    opts.service_config()?;
+    opts.check_service()?;
     if opts.jobs.is_some() || opts.cache_dir.is_some() || opts.cache_budget_bytes.is_some() {
         return Err(
             "--jobs/--cache-dir/--cache-budget-bytes configure the local pool and cache; \

@@ -54,9 +54,7 @@ use std::time::{Duration, Instant};
 use impact_cfront::Source;
 use impact_obs::names;
 
-use crate::journal::{
-    campaign_fingerprint, is_journal_fault, open_for, prepare_report_dir, Event, UnitRecord,
-};
+use crate::journal::{campaign_fingerprint, open_for, prepare_report_dir, Event, UnitRecord};
 use crate::minimize::{shrink, ShrinkResult};
 use crate::pool::{self, PoolEvent};
 use crate::report::{write_crash_report, AttemptRecord, CrashReport, PipelineFailure};
@@ -186,26 +184,13 @@ pub(crate) fn enumerate_file_units(opts: &Options) -> Result<Vec<String>, String
         .collect()
 }
 
-/// The per-unit options: IL dumps off, per-unit profile I/O off (units
-/// would clobber each other's files), telemetry output flags off (the
-/// campaign aggregates unit telemetry into one collector and writes the
-/// artifacts once, at the end), `journal:*` and service-layer
-/// (`serve:*`/`net:*`/`cache:*`) fault specs stripped (they belong to
-/// the campaign journal and the service machinery, not the pipeline),
-/// and the remaining `--fault` specs cleared unless `--fault-unit`
+/// The per-unit options ([`Options::for_unit`]: IL dumps, per-unit
+/// profile I/O, telemetry outputs and journal and service fault specs
+/// off), with the remaining `--fault` specs cleared unless `--fault-unit`
 /// matches this unit (or no target was named, in which case faults arm
 /// everywhere, matching single-unit semantics).
 fn unit_options(opts: &Options, unit_name: &str) -> Options {
-    let mut o = opts.clone();
-    o.quiet = true;
-    o.profile_out = None;
-    o.profile_in = None;
-    o.explain = false;
-    o.decisions_out = None;
-    o.trace_out = None;
-    o.metrics_out = None;
-    o.faults
-        .retain(|f| !is_journal_fault(f) && !crate::serve::is_service_fault(f));
+    let mut o = opts.for_unit();
     if let Some(target) = &opts.fault_unit {
         if target != unit_name {
             o.faults.clear();
@@ -588,17 +573,9 @@ pub fn run_batch(opts: &Options) -> Result<(i32, String), String> {
         prepare_report_dir(dir, "batch", fingerprint, opts.force_resume)?;
     }
     let obs = telemetry::handle_for(opts);
-    let artifact_cache = match &service.cache_dir {
-        // The batch cache honors the same budget and `cache:*` chaos
-        // points as the serve daemon's.
-        Some(dir) => Some(cache::Cache::open_with(
-            dir,
-            &obs,
-            service.cache_budget_bytes,
-            crate::serve::service_fault_plan(opts)?,
-        )?),
-        None => None,
-    };
+    // The batch cache honors the same budget and `cache:*` chaos points
+    // as the serve daemon's.
+    let artifact_cache = service.open_cache(&obs, crate::serve::service_fault_plan(opts)?)?;
     // Completion records and note lines, indexed by canonical unit
     // position. Filled from the journal (replays), the serial loop, or
     // the pool's event stream — the rendering below never depends on

@@ -2,232 +2,24 @@
 //! every campaign-journal event via the `journal:crash` / `journal:torn`
 //! / `journal:crash-after` fault points, then prove that
 //!
-//! 1. no partially-written artifact is observable in `--report-dir`
-//!    after the kill (no `*.tmp`, no truncated JSON), and
+//! 1. no partially-written artifact is published in `--report-dir`
+//!    after the kill (no `*.tmp`, no truncated JSON, outside the
+//!    `.staging/` scratch area a kill may catch mid-write), and
 //! 2. `--resume` completes the campaign with a summary and report set
 //!    **byte-identical** to an uninterrupted run (modulo the `; journal:`
-//!    status lines and the one nondeterministic report field, `wall_ms`).
+//!    status lines and the one nondeterministic report field, `wall_ms`),
+//!    and scrubs `.staging/`.
 //!
 //! The matrix walks the kill index upward per fault class until a run no
 //! longer crashes — i.e. past the campaign's last journal append — so
 //! every event class is covered without hard-coding the event count.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-const BIN: &str = env!("CARGO_BIN_EXE_impactc");
-
-struct RunResult {
-    /// `None` when the process died on a signal (SIGABRT from a kill
-    /// point); `Some(code)` for a normal exit.
-    code: Option<i32>,
-    stdout: String,
-    stderr: String,
-}
-
-fn impactc<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> RunResult {
-    let out = Command::new(BIN)
-        .args(args)
-        .output()
-        .expect("spawn impactc");
-    RunResult {
-        code: out.status.code(),
-        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
-        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-    }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("impactc-crashrec-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Drops the `; journal:` status lines — the one output difference the
-/// resume contract allows — and rewrites the scenario's report dir to a
-/// placeholder so summaries from different directories compare equal.
-/// Elapsed-time tokens (`<digits>ms`) are nondeterministic between
-/// processes, so they are normalized to `<N>ms`; because the batch table
-/// pads its time column to the widest value, runs of spaces are then
-/// collapsed so column alignment differences cancel out too.
-fn canon(s: &str, report_dir: &Path) -> String {
-    let kept = s
-        .lines()
-        .filter(|l| !l.starts_with("; journal:"))
-        .map(|l| format!("{l}\n"))
-        .collect::<String>()
-        .replace(report_dir.to_str().unwrap(), "<REPORT_DIR>");
-    collapse_spaces(&normalize_ms(&kept))
-}
-
-/// Replaces every `<digits>ms` token with `<N>ms`.
-fn normalize_ms(s: &str) -> String {
-    let pieces: Vec<&str> = s.split("ms").collect();
-    let mut out = String::with_capacity(s.len());
-    for (i, piece) in pieces.iter().enumerate() {
-        if i > 0 {
-            out.push_str("ms");
-        }
-        let head = piece.trim_end_matches(|c: char| c.is_ascii_digit());
-        if i + 1 < pieces.len() && head.len() < piece.len() {
-            out.push_str(head);
-            out.push_str("<N>");
-        } else {
-            out.push_str(piece);
-        }
-    }
-    out
-}
-
-/// Collapses runs of spaces to a single space (padded columns shift when
-/// `normalize_ms` replaces variable-width digits with a fixed token).
-fn collapse_spaces(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut prev_space = false;
-    for c in s.chars() {
-        if c == ' ' {
-            if !prev_space {
-                out.push(c);
-            }
-            prev_space = true;
-        } else {
-            prev_space = false;
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Zeroes every `"wall_ms": N` in a JSON report — wall time is the one
-/// nondeterministic field a rerun cannot reproduce.
-fn normalize_wall_ms(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(i) = rest.find("\"wall_ms\": ") {
-        let tail = &rest[i + "\"wall_ms\": ".len()..];
-        let digits = tail.chars().take_while(char::is_ascii_digit).count();
-        out.push_str(&rest[..i]);
-        out.push_str("\"wall_ms\": 0");
-        rest = &tail[digits..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Snapshot of a report dir: file name → normalized content, excluding
-/// the `.staging/` scratch area.
-fn snapshot(dir: &Path) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    if !dir.is_dir() {
-        return map;
-    }
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let entry = entry.unwrap();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        // The manifest fingerprints the campaign *including* its report
-        // dir, so it legitimately differs across scenario directories.
-        if entry.path().is_dir() || name == "campaign.manifest" {
-            continue;
-        }
-        let text = std::fs::read_to_string(entry.path()).unwrap();
-        map.insert(
-            name,
-            normalize_wall_ms(&text).replace(dir.to_str().unwrap(), "<REPORT_DIR>"),
-        );
-    }
-    map
-}
-
-/// Post-kill invariant: nothing half-written is observable — no `*.tmp`
-/// anywhere under the dir, and every JSON document parses as complete
-/// (balanced braces, trailing newline).
-fn assert_no_torn_artifacts(dir: &Path) {
-    if !dir.is_dir() {
-        return;
-    }
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for entry in std::fs::read_dir(&d).unwrap() {
-            let p = entry.unwrap().path();
-            if p.is_dir() {
-                stack.push(p);
-                continue;
-            }
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            assert!(
-                !name.ends_with(".tmp"),
-                "torn staging file visible after kill: {}",
-                p.display()
-            );
-            if name.ends_with(".json") {
-                let text = std::fs::read_to_string(&p).unwrap();
-                let opens = text.matches('{').count();
-                let closes = text.matches('}').count();
-                assert!(
-                    opens > 0 && opens == closes && text.ends_with('\n'),
-                    "truncated JSON visible after kill: {} ({opens} open / {closes} close braces)",
-                    p.display()
-                );
-            }
-        }
-    }
-}
-
-fn write_units(dir: &Path) -> Vec<String> {
-    let units = [
-        (
-            "alpha.c",
-            "int sq(int x) { return x * x; }\n\
-             int main() { int i; int s; s = 0; for (i = 0; i < 40; i++) s += sq(i); return s & 0xff; }",
-        ),
-        (
-            "beta.c",
-            "int tri(int x) { return x + x + x; }\n\
-             int main() { int i; int s; s = 0; for (i = 0; i < 40; i++) s += tri(i); return s & 0xff; }",
-        ),
-        (
-            "gamma.c",
-            "int half(int x) { return x / 2; }\n\
-             int main() { int i; int s; s = 0; for (i = 0; i < 40; i++) s += half(i); return s & 0xff; }",
-        ),
-    ];
-    units
-        .iter()
-        .map(|(name, text)| {
-            let p = dir.join(name);
-            std::fs::write(&p, text).unwrap();
-            p.to_str().unwrap().to_string()
-        })
-        .collect()
-}
-
-/// Batch flag set shared by the baseline, every kill run, and every
-/// resume (the kill fault itself is the only difference, and `journal:*`
-/// specs are excluded from the campaign fingerprint by design).
-fn batch_args<'a>(
-    units: &'a [String],
-    beta: &'a str,
-    report: &'a str,
-    journal: &'a str,
-) -> Vec<&'a str> {
-    let mut v: Vec<&str> = vec!["batch"];
-    v.extend(units.iter().map(String::as_str));
-    v.extend([
-        "--retries",
-        "0",
-        "--fault",
-        "inline:verify",
-        "--fault-unit",
-        beta,
-        "--report-dir",
-        report,
-        "--journal",
-        journal,
-    ]);
-    v
-}
+use common::{
+    assert_no_torn_artifacts, assert_staging_scrubbed, batch_args, canon, impactc, snapshot,
+    tmp_dir, write_units,
+};
 
 #[test]
 fn batch_crash_resume_matrix_is_exact() {
@@ -301,6 +93,7 @@ fn batch_crash_resume_matrix_is_exact() {
                 "{tag}: resumed report set diverged from the uninterrupted run"
             );
             assert_no_torn_artifacts(&report);
+            assert_staging_scrubbed(&report);
         }
         assert!(crashed_at_least_once, "{class} fired for no kill index");
     }
@@ -438,6 +231,7 @@ fn fuzz_finding_campaign_resumes_with_identical_reports() {
         "resumed finding reports diverged"
     );
     assert_no_torn_artifacts(&report);
+    assert_staging_scrubbed(&report);
 }
 
 #[test]

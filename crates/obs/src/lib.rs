@@ -530,8 +530,9 @@ impl Metrics {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal: the one
+/// escaper behind every JSON document the workspace writes.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -563,7 +564,7 @@ pub fn chrome_trace_json(m: &Metrics) -> String {
         };
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"cat\":\"impact\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{}{}}}",
-            esc(&s.name),
+            json_escape(&s.name),
             s.start_us,
             s.dur_us,
             args
@@ -581,66 +582,68 @@ pub const METRICS_SCHEMA_VERSION: u32 = 1;
 /// for a given input, so tests can compare two runs after stripping the
 /// `*_us` fields.
 pub fn metrics_json(m: &Metrics) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"version\": {METRICS_SCHEMA_VERSION},\n  \"kind\": \"impact-metrics\",\n  \"spans\": ["
-    ));
-    let stats = m.span_stats();
-    for (i, s) in stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"count\": {}, \"total_us\": {}}}",
-            esc(&s.name),
-            s.count,
-            s.total_us
-        ));
+    let spans: Vec<String> = m
+        .span_stats()
+        .iter()
+        .map(|s| {
+            format!(
+                "\n    {{\"name\": \"{}\", \"count\": {}, \"total_us\": {}}}",
+                json_escape(&s.name),
+                s.count,
+                s.total_us
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"version\": {METRICS_SCHEMA_VERSION},\n  \"kind\": \"impact-metrics\",\n  \"spans\": {},\n  {}\n}}\n",
+        json_lines_array(&spans),
+        counters_hists_json(
+            m.counters.iter().map(|(k, v)| (k.as_str(), *v)),
+            m.hists.iter().map(|(k, h)| (k.as_str(), h)),
+        )
+    )
+}
+
+/// A JSON array of pre-rendered elements, each starting on its own
+/// indented line; `[]` when empty.
+fn json_lines_array(items: &[String]) -> String {
+    if items.is_empty() {
+        "[]".to_string()
+    } else {
+        format!("[{}\n  ]", items.join(","))
     }
-    if !stats.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"counters\": [");
-    for (i, (k, v)) in m.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"value\": {}}}",
-            esc(k),
-            v
-        ));
-    }
-    if !m.counters.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"hists\": [");
-    for (i, (k, h)) in m.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let buckets = h
-            .buckets()
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"count\": {}, \"total_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"buckets_us\": [{}]}}",
-            esc(k),
-            h.count(),
-            h.sum(),
-            h.percentile(50),
-            h.percentile(90),
-            h.percentile(99),
-            buckets
-        ));
-    }
-    if !m.hists.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+}
+
+/// Renders the `"counters"` and `"hists"` members shared by the metrics
+/// JSON and the serve stats JSON: `"counters": [...],\n  "hists": [...]`,
+/// one element per line, histograms with their percentiles and buckets.
+pub fn counters_hists_json<'a>(
+    counters: impl Iterator<Item = (&'a str, u64)>,
+    hists: impl Iterator<Item = (&'a str, &'a Histogram)>,
+) -> String {
+    let counters: Vec<String> = counters
+        .map(|(k, v)| format!("\n    {{\"name\": \"{}\", \"value\": {v}}}", json_escape(k)))
+        .collect();
+    let hists: Vec<String> = hists
+        .map(|(k, h)| {
+            let buckets: Vec<String> = h.buckets().iter().map(u64::to_string).collect();
+            format!(
+                "\n    {{\"name\": \"{}\", \"count\": {}, \"total_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"buckets_us\": [{}]}}",
+                json_escape(k),
+                h.count(),
+                h.sum(),
+                h.percentile(50),
+                h.percentile(90),
+                h.percentile(99),
+                buckets.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "\"counters\": {},\n  \"hists\": {}",
+        json_lines_array(&counters),
+        json_lines_array(&hists)
+    )
 }
 
 /// Default bounded capacity of a daemon [`FlightRecorder`] ring.
@@ -735,6 +738,14 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escaping_handles_quotes_newlines_and_controls() {
+        assert_eq!(json_escape("a\"b"), "a\\\"b");
+        assert_eq!(json_escape("a\\b"), "a\\\\b");
+        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
 
     #[test]
     fn service_counter_names_are_unique_and_namespaced() {
