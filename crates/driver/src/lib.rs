@@ -5,7 +5,7 @@
 //! the whole flow is unit-testable without spawning processes.
 
 // `deny` rather than `forbid`: the one scoped exception is the SIGTERM
-// handler installation in `serve::sig`, which binds the C `signal`
+// handler installation in `serve::daemon::sig`, which binds the C `signal`
 // function directly (no libc crate dependency) under a module-local
 // `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
