@@ -10,94 +10,16 @@
 //! Every test drives the real binary, like `tests/serve.rs`.
 #![cfg(unix)]
 
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-const BIN: &str = env!("CARGO_BIN_EXE_impactc");
+mod daemon;
 
-struct RunResult {
-    code: Option<i32>,
-    stdout: String,
-    stderr: String,
-}
-
-fn impactc<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> RunResult {
-    let out = Command::new(BIN)
-        .args(args)
-        .output()
-        .expect("spawn impactc");
-    RunResult {
-        code: out.status.code(),
-        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
-        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-    }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("impactc-chaos-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_hot_c(dir: &Path) -> String {
-    let p = dir.join("hot.c");
-    std::fs::write(
-        &p,
-        "int add(int x) { return x + 1; }\n\
-         int main() { int i; int s; s = 0; for (i = 0; i < 8; i++) s += add(i); return s & 0; }",
-    )
-    .unwrap();
-    p.to_str().unwrap().to_string()
-}
-
-fn spawn_daemon(sock: &Path, extra: &[&str]) -> Child {
-    let child = Command::new(BIN)
-        .arg("serve")
-        .arg(sock)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn serve daemon");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !sock.exists() {
-        assert!(
-            Instant::now() < deadline,
-            "daemon never bound {}",
-            sock.display()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    child
-}
-
-fn sig(child: &Child, sig: &str) {
-    let ok = Command::new("kill")
-        .args([sig, &child.id().to_string()])
-        .status()
-        .expect("run kill")
-        .success();
-    assert!(ok, "kill {sig} failed");
-}
-
-fn stop_and_collect(mut child: Child) -> (Option<i32>, String) {
-    sig(&child, "-TERM");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while child.try_wait().expect("poll daemon").is_none() {
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("daemon did not drain within 30s of SIGTERM");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let out = child.wait_with_output().expect("collect daemon output");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-    )
-}
+use daemon::{
+    free_port, impactc, sig, spawn_daemon, stop_and_collect, tmp_dir, write_hot_c, RunResult, BIN,
+};
 
 /// Hard-kills the daemon (no drain, no cleanup) — the crash half of the
 /// crash-safe cache lifecycle.
@@ -568,16 +490,6 @@ fn busy_responses_carry_a_retry_hint_the_client_honors() {
 
 // ----- TCP transport chaos -------------------------------------------------
 
-/// Reserves a loopback port by binding port 0 and immediately releasing
-/// it; the daemon rebinds it a moment later.
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .expect("bind loopback port 0")
-        .local_addr()
-        .unwrap()
-        .port()
-}
-
 /// `request` against an endpoint *string* (TCP address or endpoint
 /// list) rather than a socket path.
 fn request_ep(ep: &str, file: &str, extra: &[&str]) -> RunResult {
@@ -808,6 +720,22 @@ fn conn_cap_sheds_overlap_with_busy_then_converges() {
     );
 }
 
+/// The units a daemon has answered, from its live `serve:ok` counter.
+fn answered(sock: &Path) -> u64 {
+    let stats = impactc(&[
+        "request",
+        sock.to_str().unwrap(),
+        "--stats",
+        "--retries",
+        "0",
+    ]);
+    stats
+        .stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(";   serve:ok "))
+        .map_or(0, |n| n.parse().expect("integer counter"))
+}
+
 /// The tentpole scenario: a `batch --remote` campaign against two TCP
 /// daemons, one of which is `kill -9`ed mid-campaign and later
 /// restarted. The multi-endpoint client must fail over, open the dead
@@ -819,15 +747,14 @@ fn two_daemon_failover_campaign_converges_byte_identically() {
     let dir = tmp_dir("failover");
     let units = dir.join("units");
     std::fs::create_dir_all(&units).unwrap();
-    // Enough VM work per unit (~150ms on an unoptimized build) that the
-    // campaign comfortably spans the kill, the breaker cooldown, and
-    // the restart.
+    // The choreography below waits on events and on injected stalls,
+    // never on how long a unit takes to compile, so the units are small.
     for i in 0..24 {
         std::fs::write(
             units.join(format!("u{i:02}.c")),
             format!(
                 "int spin(int n) {{ int i; int s; s = {i}; for (i = 0; i < n; i++) s += i & 7; return s; }}\n\
-                 int main() {{ int r; int j; r = 0; for (j = 0; j < 10; j++) r += spin(20000); return r & 0; }}"
+                 int main() {{ int r; int j; r = 0; for (j = 0; j < 10; j++) r += spin(200); return r & 0; }}"
             ),
         )
         .unwrap();
@@ -852,12 +779,23 @@ fn two_daemon_failover_campaign_converges_byte_identically() {
     let sock_b = dir.join("b.sock");
     let addr_a = format!("127.0.0.1:{}", free_port());
     let addr_b = format!("127.0.0.1:{}", free_port());
-    let daemon_a = spawn_daemon(&sock_a, &["--jobs", "1", "--tcp", &addr_a]);
-    let daemon_b = spawn_daemon(&sock_b, &["--jobs", "1", "--tcp", &addr_b]);
+    // A holds its second unit, so the kill lands mid-campaign; its
+    // second worker answers the stats polls meanwhile. B holds its
+    // fourth unit, the first one after A's breaker opens (three A
+    // failures, each failing over to B), which keeps the campaign open
+    // past the breaker's 500 ms cooldown.
+    let daemon_a = spawn_daemon(
+        &sock_a,
+        &["--jobs", "2", "--tcp", &addr_a, "--fault", "serve:stall=2"],
+    );
+    let daemon_b = spawn_daemon(
+        &sock_b,
+        &["--jobs", "1", "--tcp", &addr_b, "--fault", "serve:stall=4"],
+    );
 
     let endpoints = format!("{addr_a},{addr_b}");
     let metrics = dir.join("metrics.json");
-    let client = Command::new(BIN)
+    let mut client = Command::new(BIN)
         .args([
             "batch",
             &units,
@@ -870,20 +808,36 @@ fn two_daemon_failover_campaign_converges_byte_identically() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn remote campaign");
+    let notices = client.stderr.take().expect("piped stderr");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        for line in BufReader::new(notices).lines() {
+            let line = line.expect("read campaign stderr");
+            let _ = tx.send(line.contains("circuit breaker opened"));
+            text.push_str(&line);
+            text.push('\n');
+        }
+        text
+    });
 
-    // Mid-campaign: hard-kill A. The next units fail over to B; after
-    // three consecutive A failures the breaker opens and A is skipped
-    // outright.
-    std::thread::sleep(Duration::from_millis(500));
+    // Mid-campaign: hard-kill A once it has answered a unit. The next
+    // units fail over to B; after three consecutive A failures the
+    // breaker opens and A is skipped outright.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while answered(&sock_a) == 0 {
+        assert!(Instant::now() < deadline, "A never answered a unit");
+    }
     kill9_and_reap(daemon_a, &sock_a);
-    // Restart A on the same endpoint while the campaign is still
-    // running: once the breaker's cooldown lapses, a half-open probe
-    // finds it healthy and brings it back into rotation.
-    std::thread::sleep(Duration::from_millis(900));
+    // Restart A on the same endpoint once its breaker has opened: after
+    // the cooldown, a half-open probe finds it healthy and brings it
+    // back into rotation.
+    let opened = rx.iter().any(|breaker_opened| breaker_opened);
+    assert!(opened, "the campaign ended before A's breaker opened");
     let daemon_a = spawn_daemon(&sock_a, &["--jobs", "1", "--tcp", &addr_a]);
 
     let out = client.wait_with_output().expect("collect campaign");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = reader.join().expect("stderr reader");
     assert_eq!(
         out.status.code(),
         Some(0),

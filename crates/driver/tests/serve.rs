@@ -7,97 +7,16 @@
 //! requests via `impactc request`, and `kill -TERM` for the drain path.
 #![cfg(unix)]
 
-use std::path::{Path, PathBuf};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const BIN: &str = env!("CARGO_BIN_EXE_impactc");
+mod daemon;
 
-struct RunResult {
-    code: Option<i32>,
-    stdout: String,
-    stderr: String,
-}
-
-fn impactc<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> RunResult {
-    let out = Command::new(BIN)
-        .args(args)
-        .output()
-        .expect("spawn impactc");
-    RunResult {
-        code: out.status.code(),
-        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
-        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-    }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("impactc-serve-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_hot_c(dir: &Path) -> String {
-    let p = dir.join("hot.c");
-    std::fs::write(
-        &p,
-        "int add(int x) { return x + 1; }\n\
-         int main() { int i; int s; s = 0; for (i = 0; i < 8; i++) s += add(i); return s & 0; }",
-    )
-    .unwrap();
-    p.to_str().unwrap().to_string()
-}
-
-/// Spawns the daemon and waits (bounded) for it to bind its socket.
-fn spawn_daemon(sock: &Path, extra: &[&str]) -> Child {
-    let child = Command::new(BIN)
-        .arg("serve")
-        .arg(sock)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn serve daemon");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !sock.exists() {
-        assert!(
-            Instant::now() < deadline,
-            "daemon never bound {}",
-            sock.display()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    child
-}
-
-fn sigterm(child: &Child) {
-    let ok = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("run kill")
-        .success();
-    assert!(ok, "kill -TERM failed");
-}
-
-/// SIGTERMs the daemon, waits (bounded) for the graceful drain, and
-/// returns its exit code and stdout.
-fn stop_and_collect(mut child: Child) -> (Option<i32>, String) {
-    sigterm(&child);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while child.try_wait().expect("poll daemon").is_none() {
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("daemon did not drain within 30s of SIGTERM");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let out = child.wait_with_output().expect("collect daemon output");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-    )
-}
+use daemon::{
+    free_port, impactc, spawn_daemon, stop_and_collect, tmp_dir, write_hot_c, RunResult, BIN,
+};
 
 fn request(sock: &Path, file: &str) -> RunResult {
     impactc(&["request", sock.to_str().unwrap(), file])
@@ -128,6 +47,31 @@ fn wait_client(child: Child) -> RunResult {
         stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
         stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
     }
+}
+
+/// The socket file is the readiness signal: a client that connects the
+/// moment the file exists, with no retry, is accepted every time.
+#[test]
+fn socket_file_appears_only_once_the_daemon_accepts() {
+    let dir = tmp_dir("ready");
+    let sock = dir.join("d.sock");
+    for start in 0..20 {
+        let daemon = spawn_daemon(&sock, &["--jobs", "1"]);
+        let conn = UnixStream::connect(&sock);
+        assert!(conn.is_ok(), "start {start}: connect refused: {conn:?}");
+        drop(conn);
+        let (code, _) = stop_and_collect(daemon);
+        assert_eq!(code, Some(0), "start {start}");
+        assert!(
+            !sock.exists(),
+            "start {start}: drain left the socket behind"
+        );
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(
+        leftovers.is_empty(),
+        "staging names left behind: {leftovers:?}"
+    );
 }
 
 #[test]
@@ -322,17 +266,6 @@ fn ping_reports_daemon_health() {
         stdout.contains("1 pings"),
         "ping missing from the drain summary: {stdout}"
     );
-}
-
-/// Reserves a loopback port by binding port 0 and releasing it. A small
-/// race remains (something else could claim the port before the daemon
-/// does), which the per-test tag keeps improbable enough for CI.
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .expect("bind port 0")
-        .local_addr()
-        .expect("local addr")
-        .port()
 }
 
 #[test]
