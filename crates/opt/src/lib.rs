@@ -235,18 +235,18 @@ pub fn optimize_function_observed(
             let _pass_span = obs.span(SPAN_NAMES[i]);
             let inject = fault.should_fail("opt:pass");
             let mut scratch = func.clone();
-            // Silence the default panic hook while the pass runs: the
-            // unwind is caught and surfaced as a SkippedPass, so the
-            // backtrace spew would misread as a crash.
-            let prev_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
+            // The process-global panic hook is left alone: swapping it
+            // here would race with other threads optimizing. The
+            // injected panic unwinds without calling the hook; a real
+            // pass panic reports through whatever hook is installed.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if inject {
-                    panic!("fault injection forced an optimizer pass panic");
+                    std::panic::resume_unwind(Box::new(
+                        "fault injection forced an optimizer pass panic",
+                    ));
                 }
                 pass(&mut scratch)
             }));
-            std::panic::set_hook(prev_hook);
             match outcome {
                 Ok(n) => {
                     *func = scratch;
