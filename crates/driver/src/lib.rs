@@ -18,10 +18,13 @@ use impact_cfront::{compile, compile_with, Source};
 use impact_il::{module_to_string, verify_module, Module, VerifyError};
 use impact_inline::{
     expand_site, inline_module, ExpansionRecord, Incident, IncidentStage, InlineConfig,
-    Linearization, SiteDecision,
+    InlineReport, Linearization, SiteDecision,
 };
 use impact_opt::optimize_module_observed;
-use impact_vm::{profile_runs, Engine, FaultPlan, IcacheConfig, NamedFile, Profile, VmConfig};
+use impact_vm::{
+    profile_runs, Engine, FaultPlan, IcacheConfig, NamedFile, Profile, RunOutcome, VmConfig,
+    VmError,
+};
 
 pub mod cache;
 mod flags;
@@ -493,76 +496,19 @@ fn load_inputs(pairs: &[(String, String)]) -> Result<Vec<NamedFile>, String> {
 /// One profiling/benchmark run: named input files plus program arguments.
 pub type RunSpec = (Vec<NamedFile>, Vec<String>);
 
-/// Acquires a profile with graceful degradation: a corrupt `--profile-in`
-/// (or the `profile:parse` fault point), and a trapping profiling run,
-/// both warn and fall back to an unprofiled plan in which every arc
-/// carries exactly the threshold weight — threshold-only inlining —
-/// instead of aborting the compilation.
-fn acquire_profile(
-    module: &Module,
-    runs: &[RunSpec],
-    vm_cfg: &VmConfig,
-    profile_in: Option<&str>,
-    fallback_weight: u64,
-    incidents: &mut Vec<Incident>,
-    out: &mut String,
-) -> Result<Profile, String> {
-    let degraded =
-        |detail: String, subject: String, incidents: &mut Vec<Incident>, out: &mut String| {
-            let _ = writeln!(
-                out,
-                "; warning: {detail}; falling back to unprofiled (threshold-only) inlining"
-            );
-            incidents.push(Incident {
-                stage: IncidentStage::Profile,
-                subject,
-                detail,
-                rolled_back: false,
-            });
-            Profile::assume_hot(module, fallback_weight)
-        };
-    match profile_in {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read profile `{path}`: {e}"))?;
-            let parsed = if vm_cfg.fault.should_fail("profile:parse") {
-                Err("fault injection corrupted the profile read".to_string())
-            } else {
-                Profile::from_text(&text).map_err(|e| e.to_string())
-            };
-            match parsed {
-                Ok(p) => Ok(p),
-                Err(e) => Ok(degraded(
-                    format!("bad profile `{path}`: {e}"),
-                    format!("profile `{path}`"),
-                    incidents,
-                    out,
-                )),
-            }
-        }
-        None => match profile_runs(module, runs, vm_cfg) {
-            Ok((p, _)) => Ok(p),
-            Err(e) => Ok(degraded(
-                format!("profiling run trapped: {e}"),
-                "profiling run".to_string(),
-                incidents,
-                out,
-            )),
-        },
-    }
-}
+/// A module's run outcomes over the run set: the merged profile and each
+/// run's outcome, or the trap that stopped the first failing run.
+type Measured = Result<(Profile, Vec<RunOutcome>), VmError>;
 
-/// Observable behavior of a module over a run set: per-run stdout and
-/// exit code, or the trap that stopped the first failing run.
-fn behavior(module: &Module, runs: &[RunSpec]) -> Result<Vec<(Vec<u8>, i64)>, String> {
-    let cfg = VmConfig::default(); // differential runs are never faulted
-    let mut results = Vec::with_capacity(runs.len());
-    for (inputs, args) in runs {
-        let out = impact_vm::run(module, inputs.clone(), args.clone(), &cfg)
-            .map_err(|e| e.to_string())?;
-        results.push((out.stdout, out.exit_code));
+/// Whether two measurements show the same observable behavior: each run
+/// printed the same stdout and exited with the same code, or both
+/// trapped.
+fn same_behavior(a: &Measured, b: &Measured) -> bool {
+    fn observed(m: &Measured) -> Option<Vec<(&Vec<u8>, i64)>> {
+        let (_, outs) = m.as_ref().ok()?;
+        Some(outs.iter().map(|o| (&o.stdout, o.exit_code)).collect())
     }
-    Ok(results)
+    observed(a) == observed(b)
 }
 
 /// Replays a subset of expansion records on a pristine pre-expansion
@@ -579,38 +525,38 @@ fn replay(module0: &Module, records: &[ExpansionRecord], included: &[bool]) -> M
 }
 
 /// The differential safety net: compares the inlined module's observable
-/// behavior against the pre-inline module on the same runs. On
-/// divergence, bisects the applied expansions to the smallest offending
-/// set, rolls those arcs back (rebuilding the module from the pristine
-/// copy), and records incidents — a miscompile is never shipped.
+/// behavior against the pre-inline module's measurement `target` on the
+/// same runs. On divergence, bisects the applied expansions to the
+/// smallest offending set, rolls those arcs back (rebuilding the module
+/// from the pristine copy), and records incidents — a miscompile is
+/// never shipped. Returns the measurement of the module it leaves.
 ///
-/// `promoted` forces the conservative path: promotion rewrites sites the
-/// records may reference, so the whole transformation is rolled back
-/// instead of bisected.
+/// Promoted sites force the conservative path: promotion rewrites sites
+/// the expansion records may reference, so the whole transformation is
+/// rolled back instead of bisected.
 #[allow(clippy::too_many_arguments)]
 fn differential_guard(
     module: &mut Module,
     module0: &Module,
-    records: &[ExpansionRecord],
-    promoted: bool,
+    target: Measured,
+    report: &InlineReport,
     eliminate: bool,
-    runs: &[RunSpec],
+    measure: &dyn Fn(&Module) -> Measured,
     incidents: &mut Vec<Incident>,
     out: &mut String,
-) {
-    let Ok(target) = behavior(module0, runs) else {
-        // The original program itself traps on these runs: there is no
-        // ground truth to compare against.
-        return;
-    };
-    if behavior(module, runs).ok().as_ref() == Some(&target) {
-        return;
+) -> Measured {
+    let records = &report.records;
+    let inlined = measure(module);
+    // A trapping original program leaves no ground truth to compare
+    // against.
+    if target.is_err() || same_behavior(&inlined, &target) {
+        return inlined;
     }
     let _ = writeln!(
         out,
         "; warning: post-inline behavior diverged from the pre-inline run; bisecting"
     );
-    if promoted || records.is_empty() {
+    if !report.promoted.is_empty() || records.is_empty() {
         *module = module0.clone();
         incidents.push(Incident {
             stage: IncidentStage::Divergence,
@@ -620,34 +566,33 @@ fn differential_guard(
                 .to_string(),
             rolled_back: true,
         });
-        return;
+        return target;
     }
+    // Each subset of arcs is measured at most once; with none included
+    // the module is the original, which matches by definition.
+    let mut verdicts = std::collections::HashMap::from([(vec![false; records.len()], true)]);
+    let mut behaves = |subset: Vec<bool>| {
+        *verdicts.entry(subset).or_insert_with_key(|subset| {
+            same_behavior(&measure(&replay(module0, records, subset)), &target)
+        })
+    };
     let mut included = vec![true; records.len()];
-    for _ in 0..records.len() {
-        let candidate = replay(module0, records, &included);
-        if behavior(&candidate, runs).ok().as_ref() == Some(&target) {
-            break;
-        }
+    while !behaves(included.clone()) {
         // Smallest prefix of still-included arcs that diverges; its last
         // arc is an offender.
         let active: Vec<usize> = (0..records.len()).filter(|&i| included[i]).collect();
-        let fails = |k: usize| {
-            let mut subset = vec![false; records.len()];
-            for &i in &active[..k] {
-                subset[i] = true;
-            }
-            behavior(&replay(module0, records, &subset), runs)
-                .ok()
-                .as_ref()
-                != Some(&target)
+        let prefix = |k| {
+            (0..records.len())
+                .map(|i| active[..k].contains(&i))
+                .collect()
         };
         let (mut lo, mut hi) = (1, active.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if fails(mid) {
-                hi = mid;
-            } else {
+            if behaves(prefix(mid)) {
                 lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
         let offender = active[lo - 1];
@@ -669,11 +614,11 @@ fn differential_guard(
     if eliminate {
         impact_inline::eliminate_unreachable(module);
     }
-    debug_assert!(behavior(module, runs).ok().as_ref() == Some(&target));
+    let kept = measure(module);
+    debug_assert!(same_behavior(&kept, &target));
+    kept
 }
 
-/// Appends per-incident lines and the `; incidents: N (M rolled back)`
-/// summary to the report.
 /// Warns about armed fault points that never fired — a typo'd domain or
 /// an out-of-range hit count would otherwise be silently ignored.
 fn warn_unfired(out: &mut String, fault: &FaultPlan) {
@@ -686,6 +631,8 @@ fn warn_unfired(out: &mut String, fault: &FaultPlan) {
     }
 }
 
+/// Appends per-incident lines and the `; incidents: N (M rolled back)`
+/// summary to the report.
 fn render_incidents(out: &mut String, incidents: &[Incident]) {
     for i in incidents {
         let _ = writeln!(out, "; incident: {i}");
@@ -693,87 +640,105 @@ fn render_incidents(out: &mut String, incidents: &[Incident]) {
     let rolled = incidents.iter().filter(|i| i.rolled_back).count();
     let _ = writeln!(
         out,
-        "; incidents: {} ({} rolled back)",
-        incidents.len(),
-        rolled
+        "; incidents: {} ({rolled} rolled back)",
+        incidents.len()
     );
 }
 
-/// The full profile → inline → verify → guard → optimize pipeline over
-/// already-loaded sources, with every hard failure classified as a
-/// [`PipelineFailure`] so the batch supervisor (and the `inline` command)
-/// can make retry/quarantine decisions and match failure signatures.
-///
-/// The post-inline verification step doubles as the pipeline's one
-/// *unrecovered* failure point: the `inline:verify` fault key injects a
-/// verification failure here, modeling the class of hard failures that
-/// the recovery layer of PR 1 cannot absorb.
-///
-/// # Errors
-///
-/// Returns the classified failure; `Ok` carries `(exit_code, report)`.
-pub fn inline_pipeline(
-    sources: &[Source],
-    runs: &[RunSpec],
-    opts: &Options,
-) -> Result<(i32, String), PipelineFailure> {
-    let obs = telemetry::handle_for(opts);
-    inline_pipeline_observed(sources, runs, opts, &obs).map(|(code, out, _)| (code, out))
+/// Percent of the `before` dynamic calls that `after` no longer makes.
+fn calls_eliminated_pct(before: u64, after: u64) -> f64 {
+    100.0 * before.saturating_sub(after) as f64 / before.max(1) as f64
 }
 
-/// [`inline_pipeline`] with an externally-owned telemetry handle (so a
-/// campaign can aggregate across units into one collector) and the
-/// inline-decision audit trail in the result. Spans cover every stage:
-/// the front end (per-source lex/parse, lower), both verifier runs, the
-/// profiling VM runs, each inline sub-phase, and each optimization pass.
+/// What one run of the driver pipeline produced; each command renders
+/// its own report from it.
+struct Compiled {
+    /// The module as compiled, before any transformation.
+    module0: Module,
+    /// The module the pipeline ships, and its run outcomes.
+    module: Module,
+    last: Measured,
+    profile: Profile,
+    report: InlineReport,
+    incidents: Vec<Incident>,
+    fault: FaultPlan,
+}
+
+/// The driver pipeline: compile → verify → profile → inline → verify →
+/// differential guard → optimize (with `--opt`), appending its warnings
+/// to `out`. Every VM run after profiling is a measurement under one
+/// config, the default plus `obs`, made at most once per module state.
 ///
-/// # Errors
-///
-/// Returns the classified failure; `Ok` carries
-/// `(exit_code, report, decisions)`.
-pub fn inline_pipeline_observed(
+/// The post-inline verification step is the pipeline's one *unrecovered*
+/// failure point: a module that fails it has no safe fallback short of
+/// abandoning the unit, so it surfaces as a hard `inline:verify-failed`
+/// error. The `inline:verify` fault key injects exactly this failure.
+fn compile_pipeline(
     sources: &[Source],
     runs: &[RunSpec],
     opts: &Options,
     obs: &impact_obs::Telemetry,
-) -> Result<(i32, String, Vec<SiteDecision>), PipelineFailure> {
-    let mut out = String::new();
-    let config_err = |e: String| PipelineFailure::new("config", "bad-flag", e);
-    let ValidatedFlags {
-        inline: mut cfg,
-        vm: mut vm_cfg,
-        ..
-    } = opts.validate_flags().map_err(config_err)?;
+    out: &mut String,
+) -> Result<Compiled, PipelineFailure> {
+    let bad_flag = |e| PipelineFailure::new("config", "bad-flag", e);
+    let flags = opts.validate_flags().map_err(bad_flag)?;
+    let (mut cfg, mut vm_cfg) = (flags.inline, flags.vm);
     cfg.obs = obs.clone();
     cfg.audit = telemetry::audit_requested(opts);
     vm_cfg.obs = obs.clone();
     let fault = cfg.fault.clone();
     let mut module = compile_with(sources, obs)
         .map_err(|e| PipelineFailure::new("compile", e.message.clone(), e.render(sources)))?;
-    {
+    let verified = {
         let _verify_span = obs.span("il:verify");
-        verify_module(&module).map_err(|es| {
-            PipelineFailure::new(
-                "verify",
-                "post-compile-verify-failed",
-                render_verify_errors(&es),
-            )
-        })?;
-    }
+        verify_module(&module).map_err(|es| render_verify_errors(&es))
+    };
+    verified.map_err(|e| PipelineFailure::new("verify", "post-compile-verify-failed", e))?;
     let module0 = module.clone();
     let mut incidents: Vec<Incident> = Vec::new();
-    let profile = {
+    // A corrupt `--profile-in` (or the `profile:parse` fault point) and a
+    // trapping profiling run both warn and fall back to an unprofiled
+    // plan in which every arc carries exactly the threshold weight —
+    // threshold-only inlining — instead of aborting the compilation.
+    let (profile, profiled) = {
         let _profile_span = obs.span("profile:acquire");
-        acquire_profile(
-            &module,
-            runs,
-            &vm_cfg,
-            opts.profile_in.as_deref(),
-            cfg.weight_threshold,
-            &mut incidents,
-            &mut out,
-        )
-        .map_err(|e| PipelineFailure::new("io", "profile-read-failed", e))?
+        let (acquired, profiled) = match &opts.profile_in {
+            Some(path) => {
+                let text = std::fs::read_to_string(path).map_err(|e| {
+                    let detail = format!("cannot read profile `{path}`: {e}");
+                    PipelineFailure::new("io", "profile-read-failed", detail)
+                })?;
+                let parsed = if fault.should_fail("profile:parse") {
+                    Err("fault injection corrupted the profile read".to_string())
+                } else {
+                    Profile::from_text(&text).map_err(|e| e.to_string())
+                };
+                let subject = format!("profile `{path}`");
+                let acquired = parsed.map_err(|e| (format!("bad {subject}: {e}"), subject));
+                (acquired, None)
+            }
+            None => {
+                let profiled = profile_runs(&module, runs, &vm_cfg);
+                let subject = "profiling run".to_string();
+                let acquired = profiled.as_ref().map(|(p, _)| p.clone());
+                let acquired = acquired.map_err(|e| (format!("{subject} trapped: {e}"), subject));
+                (acquired, Some(profiled))
+            }
+        };
+        let profile = acquired.unwrap_or_else(|(detail, subject)| {
+            let _ = writeln!(
+                out,
+                "; warning: {detail}; falling back to unprofiled (threshold-only) inlining"
+            );
+            incidents.push(Incident {
+                stage: IncidentStage::Profile,
+                subject,
+                detail,
+                rolled_back: false,
+            });
+            Profile::assume_hot(&module0, cfg.weight_threshold)
+        });
+        (profile, profiled)
     };
     if let Some(path) = &opts.profile_out {
         report::atomic_write_path(std::path::Path::new(path), profile.to_text().as_bytes())
@@ -781,10 +746,6 @@ pub fn inline_pipeline_observed(
     }
     let report = inline_module(&mut module, &profile.averaged(), &cfg);
     incidents.extend(report.incidents.iter().cloned());
-    // The one unrecovered failure point: a module that fails verification
-    // *after* inlining has no safe fallback short of abandoning the unit,
-    // so it surfaces as a hard `inline:verify-failed` error (and the
-    // `inline:verify` fault key injects exactly this failure).
     let verified = {
         let _verify_span = obs.span("il:verify");
         if fault.should_fail("inline:verify") {
@@ -794,23 +755,37 @@ pub fn inline_pipeline_observed(
         }
     };
     if let Err(detail) = verified {
-        let mut f = PipelineFailure::new(
-            "inline",
-            "verify-failed",
-            format!("post-inline verification failed: {detail}"),
-        );
+        let detail = format!("post-inline verification failed: {detail}");
+        let mut f = PipelineFailure::new("inline", "verify-failed", detail);
         f.incidents = incidents.iter().map(|i| i.to_string()).collect();
         return Err(f);
     }
-    differential_guard(
+    let measure_cfg = VmConfig {
+        obs: obs.clone(),
+        ..VmConfig::default()
+    };
+    let measure = |m: &Module| profile_runs(m, runs, &measure_cfg);
+    // The profiling run stands in for the original module's measurement
+    // when it ran as a measuring run would: no armed fault, and the
+    // default fuel, heap quota and engine. Telemetry and the icache
+    // replay observe a run without changing it.
+    let m = &measure_cfg;
+    let as_measured = vm_cfg.fault.is_empty()
+        && (vm_cfg.max_steps, vm_cfg.mem_limit, vm_cfg.engine)
+            == (m.max_steps, m.mem_limit, m.engine);
+    let original = match profiled {
+        Some(p) if as_measured => p,
+        _ => measure(&module0),
+    };
+    let mut last = differential_guard(
         &mut module,
         &module0,
-        &report.records,
-        !report.promoted.is_empty(),
+        original,
+        &report,
         cfg.eliminate_unreachable,
-        runs,
+        &measure,
         &mut incidents,
-        &mut out,
+        out,
     );
     if opts.opt {
         let pre_opt = module.clone();
@@ -834,20 +809,69 @@ pub fn inline_pipeline_observed(
         // The optimizer gets the same never-ship-a-miscompile
         // treatment, but wholesale: verify and re-compare, and
         // revert the whole optimization on any failure.
-        let broken = verify_module(&module).is_err()
-            || behavior(&module, runs).ok() != behavior(&pre_opt, runs).ok();
-        if broken {
-            module = pre_opt;
-            incidents.push(Incident {
-                stage: IncidentStage::Divergence,
-                subject: "post-inline optimization".to_string(),
-                detail: "optimized module failed verification or diverged; \
-                         optimization reverted"
-                    .to_string(),
-                rolled_back: true,
-            });
+        let optimized = verify_module(&module).ok().map(|()| measure(&module));
+        match optimized {
+            Some(m) if same_behavior(&m, &last) => last = m,
+            _ => {
+                module = pre_opt;
+                incidents.push(Incident {
+                    stage: IncidentStage::Divergence,
+                    subject: "post-inline optimization".to_string(),
+                    detail: "optimized module failed verification or diverged; \
+                             optimization reverted"
+                        .to_string(),
+                    rolled_back: true,
+                });
+            }
         }
     }
+    Ok(Compiled {
+        module0,
+        module,
+        profile,
+        report,
+        incidents,
+        last,
+        fault,
+    })
+}
+
+/// The full profile → inline → verify → guard → optimize pipeline over
+/// already-loaded sources, with every hard failure classified as a
+/// [`PipelineFailure`] so the batch supervisor (and the `inline` command)
+/// can make retry/quarantine decisions and match failure signatures.
+///
+/// # Errors
+///
+/// Returns the classified failure; `Ok` carries `(exit_code, report)`.
+pub fn inline_pipeline(
+    sources: &[Source],
+    runs: &[RunSpec],
+    opts: &Options,
+) -> Result<(i32, String), PipelineFailure> {
+    let obs = telemetry::handle_for(opts);
+    inline_pipeline_observed(sources, runs, opts, &obs).map(|(code, out, _)| (code, out))
+}
+
+/// [`inline_pipeline`] with an externally-owned telemetry handle (so a
+/// campaign can aggregate across units into one collector) and the
+/// inline-decision audit trail in the result. Spans cover every stage:
+/// the front end (per-source lex/parse, lower), both verifier runs, every
+/// VM run, each inline sub-phase, and each optimization pass.
+///
+/// # Errors
+///
+/// Returns the classified failure; `Ok` carries
+/// `(exit_code, report, decisions)`.
+pub fn inline_pipeline_observed(
+    sources: &[Source],
+    runs: &[RunSpec],
+    opts: &Options,
+    obs: &impact_obs::Telemetry,
+) -> Result<(i32, String, Vec<SiteDecision>), PipelineFailure> {
+    let mut out = String::new();
+    let c = compile_pipeline(sources, runs, opts, obs, &mut out)?;
+    let (module, report) = (&c.module, &c.report);
     let totals = report.classification.static_totals();
     let _ = writeln!(
         out,
@@ -874,12 +898,8 @@ pub fn inline_pipeline_observed(
             100.0 * (size_after as f64 - report.size_before as f64) / report.size_before as f64
         }
     );
-    let removed: Vec<&str> = module0
-        .functions
-        .iter()
-        .map(|f| f.name.as_str())
-        .filter(|n| module.functions.iter().all(|f| f.name != *n))
-        .collect();
+    let names = c.module0.functions.iter().map(|f| f.name.as_str());
+    let removed: Vec<&str> = names.filter(|n| module.func_by_name(n).is_none()).collect();
     if !removed.is_empty() {
         let _ = writeln!(out, "; removed: {}", removed.join(", "));
     }
@@ -890,33 +910,29 @@ pub fn inline_pipeline_observed(
             report.promoted.len()
         );
     }
-    match profile_runs(&module, runs, &VmConfig::default()) {
+    match &c.last {
         Ok((after, _)) => {
             let _ = writeln!(
                 out,
                 "; dynamic calls {} -> {} ({:.1}% eliminated)",
-                profile.calls,
+                c.profile.calls,
                 after.calls,
-                if profile.calls == 0 {
-                    0.0
-                } else {
-                    100.0 * profile.calls.saturating_sub(after.calls) as f64 / profile.calls as f64
-                }
+                calls_eliminated_pct(c.profile.calls, after.calls)
             );
         }
         Err(e) => {
             let _ = writeln!(out, "; warning: post-inline measurement run trapped: {e}");
         }
     }
-    warn_unfired(&mut out, &fault);
-    render_incidents(&mut out, &incidents);
+    warn_unfired(&mut out, &c.fault);
+    render_incidents(&mut out, &c.incidents);
     if opts.explain {
         out.push_str(&telemetry::explain_table(&report.decisions));
     }
     if !opts.quiet {
-        out.push_str(&module_to_string(&module));
+        out.push_str(&module_to_string(module));
     }
-    Ok((0, out, report.decisions))
+    Ok((0, out, c.report.decisions))
 }
 
 /// Executes a parsed command; returns the process exit code and the text
@@ -1005,61 +1021,23 @@ pub fn execute(opts: &Options) -> Result<(i32, String), String> {
             };
             let b = impact_workloads::benchmark(name)
                 .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-            let ValidatedFlags {
-                inline: mut cfg,
-                vm: mut vm_cfg,
-                ..
-            } = opts.validate_flags()?;
-            cfg.obs = obs.clone();
-            vm_cfg.obs = obs.clone();
-            let mut module =
-                compile_with(&b.sources(), &obs).map_err(|e| e.render(&b.sources()))?;
-            let module0 = module.clone();
             let runs = b.profile_run_set(4);
-            let mut incidents: Vec<Incident> = Vec::new();
-            let profile = acquire_profile(
-                &module,
-                &runs,
-                &vm_cfg,
-                None,
-                cfg.weight_threshold,
-                &mut incidents,
-                &mut out,
-            )?;
-            let report = inline_module(&mut module, &profile.averaged(), &cfg);
-            incidents.extend(report.incidents.iter().cloned());
-            differential_guard(
-                &mut module,
-                &module0,
-                &report.records,
-                !report.promoted.is_empty(),
-                cfg.eliminate_unreachable,
-                &runs,
-                &mut incidents,
-                &mut out,
-            );
-            let after_cfg = VmConfig {
-                engine: vm_cfg.engine,
-                ..VmConfig::default()
-            };
-            let (after, _) = profile_runs(&module, &runs, &after_cfg).map_err(|e| e.to_string())?;
+            let c = compile_pipeline(&b.sources(), &runs, opts, &obs, &mut out)
+                .map_err(|f| f.detail)?;
+            let (after, _) = c.last.as_ref().map_err(|e| e.to_string())?;
             let _ = writeln!(
                 out,
                 "{name}: {} C lines, {} ILs/run, calls {} -> {} ({:.1}% eliminated), code {:+.1}%",
                 b.c_lines(),
-                profile.averaged().il_executed,
-                profile.calls,
+                c.profile.averaged().il_executed,
+                c.profile.calls,
                 after.calls,
-                if profile.calls == 0 {
-                    0.0
-                } else {
-                    100.0 * profile.calls.saturating_sub(after.calls) as f64 / profile.calls as f64
-                },
-                report.code_increase_percent()
+                calls_eliminated_pct(c.profile.calls, after.calls),
+                c.report.code_increase_percent()
             );
-            warn_unfired(&mut out, &cfg.fault);
-            if !incidents.is_empty() {
-                render_incidents(&mut out, &incidents);
+            warn_unfired(&mut out, &c.fault);
+            if !c.incidents.is_empty() {
+                render_incidents(&mut out, &c.incidents);
             }
             telemetry::write_artifacts(opts, &obs, None)?;
             Ok((0, out))

@@ -481,26 +481,17 @@ fn stats_response(ctx: &Ctx, format: StatsFormat) -> Response {
     Response::ok(0, false, payload)
 }
 
-/// Binds the Unix socket so that its file appears only once it accepts.
-/// `UnixListener::bind` creates the file before it calls `listen()`, so
-/// the listener is bound under a hidden name in the same directory
-/// (`.` and the pid in hex, at most 7 bytes) and renamed into place. A
-/// path whose directory leaves `sun_path` no room for that name is
-/// bound in place.
-fn bind_listening(socket: &std::path::Path) -> Result<UnixListener, String> {
-    let failed =
-        |e: std::io::Error| format!("cannot bind serve socket `{}`: {e}", socket.display());
+/// Binds the Unix socket under a hidden name beside it (`.` and the pid
+/// in hex) and renames it into place once it listens: `bind` creates
+/// the file before `listen`, and the file is the readiness signal. A
+/// directory that leaves `sun_path` no room for that name binds in place.
+fn bind_listening(socket: &std::path::Path) -> std::io::Result<UnixListener> {
     let staging = socket.with_file_name(format!(".{:x}", std::process::id()));
-    // A daemon killed between its bind and its rename leaves this name.
     let _ = std::fs::remove_file(&staging);
     match UnixListener::bind(&staging) {
-        Ok(l) => std::fs::rename(&staging, socket)
-            .map(|()| l)
-            .map_err(failed),
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
-            UnixListener::bind(socket).map_err(failed)
-        }
-        Err(e) => Err(failed(e)),
+        Ok(l) => std::fs::rename(&staging, socket).map(|()| l),
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => UnixListener::bind(socket),
+        Err(e) => Err(e),
     }
 }
 
@@ -554,7 +545,9 @@ pub fn run_serve(opts: &Options) -> Result<(i32, String), String> {
             .map_err(|e| format!("cannot bind serve TCP address `{addr}`: {e}"))?;
         listeners.push(Listener::Tcp(l));
     }
-    listeners.push(Listener::Unix(bind_listening(&socket)?));
+    let unix = bind_listening(&socket)
+        .map_err(|e| format!("cannot bind serve socket `{}`: {e}", socket.display()))?;
+    listeners.push(Listener::Unix(unix));
     for l in &listeners {
         l.set_nonblocking(true)
             .map_err(|e| format!("cannot configure serve listener: {e}"))?;
