@@ -517,8 +517,8 @@ pub fn run_serve(opts: &Options) -> Result<(i32, String), String> {
     }
     let socket = PathBuf::from(&opts.positional[0]);
     if socket.exists() {
-        // A previous daemon's stale socket; binding requires the name
-        // to be free.
+        // A previous daemon's stale socket would read as ready until
+        // this daemon renames its own into place.
         std::fs::remove_file(&socket)
             .map_err(|e| format!("cannot remove stale socket `{}`: {e}", socket.display()))?;
     }

@@ -15,7 +15,7 @@ fn strs(v: &[&str]) -> Vec<String> {
 
 /// A fresh temp dir, distinct per tag.
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("impactc-pipeline-{tag}"));
+    let dir = std::env::temp_dir().join(format!("impactc-vm-passes-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
