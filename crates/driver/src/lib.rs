@@ -769,10 +769,10 @@ fn compile_pipeline(
     // when it ran as a measuring run would: no armed fault, and the
     // default fuel, heap quota and engine. Telemetry and the icache
     // replay observe a run without changing it.
-    let m = &measure_cfg;
     let as_measured = vm_cfg.fault.is_empty()
-        && (vm_cfg.max_steps, vm_cfg.mem_limit, vm_cfg.engine)
-            == (m.max_steps, m.mem_limit, m.engine);
+        && vm_cfg.max_steps == measure_cfg.max_steps
+        && vm_cfg.mem_limit == measure_cfg.mem_limit
+        && vm_cfg.engine == measure_cfg.engine;
     let original = match profiled {
         Some(p) if as_measured => p,
         _ => measure(&module0),
