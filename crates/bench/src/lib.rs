@@ -23,7 +23,7 @@ use impact_callgraph::CallGraph;
 use impact_il::Module;
 use impact_inline::{classify, inline_module, ClassTotals, InlineConfig, InlineReport};
 use impact_opt::{constant_fold, jump_optimization};
-use impact_vm::{profile_runs, Profile, VmConfig, VmError};
+use impact_vm::{panic_message, profile_runs, Profile, VmConfig, VmError};
 use impact_workloads::Benchmark;
 
 /// Everything measured for one benchmark: the union of what Tables 1–4
@@ -211,11 +211,7 @@ pub fn evaluate_all_supervised(cfg: &HarnessConfig) -> (Vec<Evaluation>, Vec<(St
             Ok(Ok(e)) => evaluations.push(e),
             Ok(Err(e)) => failures.push((b.name.to_string(), e.to_string())),
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = panic_message(&*payload);
                 failures.push((b.name.to_string(), format!("panicked: {msg}")));
             }
         }

@@ -29,6 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 
+use impact_vm::panic_message;
+
 /// Thread-name prefix for pool workers. It extends
 /// [`crate::supervise::WORKER_THREAD`] so the shared panic hook silences
 /// expected worker panics in pool runs too.
@@ -112,12 +114,7 @@ where
                         break;
                     }
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(task)))
-                        .map_err(|p| {
-                            format!(
-                                "pool worker panicked: {}",
-                                crate::supervise::panic_message(p)
-                            )
-                        });
+                        .map_err(|p| format!("pool worker panicked: {}", panic_message(&*p)));
                     if tx.send(PoolEvent::Done(task, result)).is_err() {
                         break;
                     }

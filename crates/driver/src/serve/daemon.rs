@@ -15,13 +15,13 @@ use std::time::Duration;
 
 use impact_cfront::Source;
 use impact_obs::names;
-use impact_vm::FaultPlan;
+use impact_vm::{panic_message, FaultPlan};
 
 use super::service_fault_plan;
 use super::wire::{
     read_request, write_response, Request, Response, StatsFormat, SummarySection, IO_TIMEOUT_MS,
 };
-use crate::supervise::{panic_message, DEFAULT_TIME_LIMIT_MS};
+use crate::supervise::DEFAULT_TIME_LIMIT_MS;
 use crate::transport::{Conn, Listener};
 use crate::{cache, load_inputs, telemetry, usage, Options, RunSpec};
 
@@ -835,7 +835,7 @@ fn handle_connection_inner(stream: Conn, accepted_at: std::time::Instant, ctx: &
                 }
                 Err(payload) => {
                     ctx.obs.count(names::SERVE_ERRORS, 1);
-                    let msg = panic_message(payload);
+                    let msg = panic_message(&*payload);
                     flight(ctx, "panic", &msg, trace);
                     dump_incident(ctx, "worker-panic", trace);
                     Response::error(format!("request worker panicked: {msg}"))

@@ -53,6 +53,7 @@ use std::time::{Duration, Instant};
 
 use impact_cfront::Source;
 use impact_obs::names;
+use impact_vm::panic_message;
 
 use crate::journal::{campaign_fingerprint, open_for, prepare_report_dir, Event, UnitRecord};
 use crate::minimize::{shrink, ShrinkResult};
@@ -225,16 +226,6 @@ fn materialize(
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Installs (once, process-wide) a panic hook that suppresses the default
 /// backtrace spew for supervised worker threads — their panics are
 /// *expected*, caught, and classified — while delegating every other
@@ -279,7 +270,7 @@ pub(crate) fn run_attempt(
                 Err(PipelineFailure::new(
                     "panic",
                     "pipeline-panicked",
-                    format!("pipeline panicked: {}", panic_message(payload)),
+                    format!("pipeline panicked: {}", panic_message(&*payload)),
                 ))
             });
             let _ = tx.send(r);

@@ -48,6 +48,21 @@ impl Width {
             _ => None,
         }
     }
+
+    /// Truncates `v` to this width and sign- or zero-extends it back to
+    /// 64 bits: the semantics of [`Inst::Ext`].
+    #[inline(always)]
+    pub fn extend(self, v: i64, signed: bool) -> i64 {
+        match (self, signed) {
+            (Width::W1, true) => v as i8 as i64,
+            (Width::W1, false) => v as u8 as i64,
+            (Width::W2, true) => v as i16 as i64,
+            (Width::W2, false) => v as u16 as i64,
+            (Width::W4, true) => v as i32 as i64,
+            (Width::W4, false) => v as u32 as i64,
+            (Width::W8, _) => v,
+        }
+    }
 }
 
 /// Unary operators.
@@ -59,6 +74,18 @@ pub enum UnOp {
     BitNot,
     /// Logical negation: yields 1 if the operand is 0, otherwise 0.
     LogNot,
+}
+
+impl UnOp {
+    /// Applies the operator to `v`.
+    #[inline(always)]
+    pub fn eval(self, v: i64) -> i64 {
+        match self {
+            UnOp::Neg => v.wrapping_neg(),
+            UnOp::BitNot => !v,
+            UnOp::LogNot => (v == 0) as i64,
+        }
+    }
 }
 
 /// Binary arithmetic and bitwise operators.
@@ -95,6 +122,32 @@ pub enum BinOp {
     UShr,
 }
 
+impl BinOp {
+    /// Applies the operator to `a` and `b`.
+    ///
+    /// Returns `None` for division or remainder by zero, which traps at
+    /// run time; a constant folder must leave such an instruction alone.
+    #[inline(always)]
+    pub fn eval(self, a: i64, b: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div if b != 0 => a.wrapping_div(b),
+            BinOp::Rem if b != 0 => a.wrapping_rem(b),
+            BinOp::UDiv if b != 0 => ((a as u64) / (b as u64)) as i64,
+            BinOp::URem if b != 0 => ((a as u64) % (b as u64)) as i64,
+            BinOp::Div | BinOp::Rem | BinOp::UDiv | BinOp::URem => return None,
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Shl => a.wrapping_shl(b as u32 & 63),
+            BinOp::Shr => a.wrapping_shr(b as u32 & 63),
+            BinOp::UShr => ((a as u64).wrapping_shr(b as u32 & 63)) as i64,
+        })
+    }
+}
+
 /// Comparison operators; the result register receives 0 or 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
@@ -118,6 +171,25 @@ pub enum CmpOp {
     UGt,
     /// Unsigned greater-or-equal.
     UGe,
+}
+
+impl CmpOp {
+    /// Whether `a op b` holds.
+    #[inline(always)]
+    pub fn eval(self, a: i64, b: i64) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::SLt => a < b,
+            CmpOp::SLe => a <= b,
+            CmpOp::SGt => a > b,
+            CmpOp::SGe => a >= b,
+            CmpOp::ULt => (a as u64) < (b as u64),
+            CmpOp::ULe => (a as u64) <= (b as u64),
+            CmpOp::UGt => (a as u64) > (b as u64),
+            CmpOp::UGe => (a as u64) >= (b as u64),
+        }
+    }
 }
 
 /// The target of a call instruction.
@@ -274,6 +346,24 @@ impl Inst {
         }
     }
 
+    /// Mutable access to the register written by this instruction, if any.
+    pub fn def_mut(&mut self) -> Option<&mut Reg> {
+        match self {
+            Inst::Const { dst, .. }
+            | Inst::Mov { dst, .. }
+            | Inst::Un { dst, .. }
+            | Inst::Bin { dst, .. }
+            | Inst::Cmp { dst, .. }
+            | Inst::AddrOfGlobal { dst, .. }
+            | Inst::AddrOfSlot { dst, .. }
+            | Inst::AddrOfFunc { dst, .. }
+            | Inst::Ext { dst, .. }
+            | Inst::Load { dst, .. } => Some(dst),
+            Inst::Store { .. } => None,
+            Inst::Call { dst, .. } => dst.as_mut(),
+        }
+    }
+
     /// Invokes `f` for every register read by this instruction.
     pub fn for_each_use(&self, mut f: impl FnMut(Reg)) {
         match self {
@@ -298,6 +388,33 @@ impl Inst {
                 for a in args {
                     f(*a);
                 }
+            }
+        }
+    }
+
+    /// Invokes `f` on every register read by this instruction, in the
+    /// order of [`Inst::for_each_use`], so it can rewrite them.
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut Reg)) {
+        match self {
+            Inst::Const { .. }
+            | Inst::AddrOfGlobal { .. }
+            | Inst::AddrOfSlot { .. }
+            | Inst::AddrOfFunc { .. } => {}
+            Inst::Mov { src, .. } | Inst::Un { src, .. } | Inst::Ext { src, .. } => f(src),
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Inst::Load { addr, .. } => f(addr),
+            Inst::Store { addr, src, .. } => {
+                f(addr);
+                f(src);
+            }
+            Inst::Call { callee, args, .. } => {
+                if let Callee::Reg(r) = callee {
+                    f(r);
+                }
+                args.iter_mut().for_each(f);
             }
         }
     }
@@ -339,6 +456,22 @@ pub enum Terminator {
 }
 
 impl Terminator {
+    /// Invokes `f` for the register this terminator reads, if any (a
+    /// branch's condition or a returned value).
+    pub fn for_each_use(&self, f: impl FnOnce(Reg)) {
+        if let Terminator::Branch { cond: r, .. } | Terminator::Return(Some(r)) = self {
+            f(*r);
+        }
+    }
+
+    /// Invokes `f` on the register this terminator reads, if any, so it
+    /// can rewrite it.
+    pub fn for_each_use_mut(&mut self, f: impl FnOnce(&mut Reg)) {
+        if let Terminator::Branch { cond: r, .. } | Terminator::Return(Some(r)) = self {
+            f(r);
+        }
+    }
+
     /// Invokes `f` for every successor block of this terminator.
     pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
@@ -434,6 +567,80 @@ mod tests {
         let mut uses = Vec::new();
         i.for_each_use(|r| uses.push(r));
         assert_eq!(uses, vec![Reg(9), Reg(1)]);
+    }
+
+    #[test]
+    fn mutable_visitors_reach_every_register() {
+        let mut i = Inst::Call {
+            site: CallSiteId(0),
+            callee: Callee::Reg(Reg(9)),
+            args: vec![Reg(1), Reg(2)],
+            dst: Some(Reg(3)),
+        };
+        i.for_each_use_mut(|r| r.0 += 10);
+        *i.def_mut().unwrap() = Reg(0);
+        let mut uses = Vec::new();
+        i.for_each_use(|r| uses.push(r));
+        assert_eq!(uses, vec![Reg(19), Reg(11), Reg(12)]);
+        assert_eq!(i.def(), Some(Reg(0)));
+        let mut store = Inst::Store {
+            addr: Reg(4),
+            src: Reg(5),
+            width: Width::W4,
+        };
+        assert_eq!(store.def_mut(), None);
+    }
+
+    #[test]
+    fn terminator_uses() {
+        let mut t = Terminator::Branch {
+            cond: Reg(4),
+            then_to: BlockId(1),
+            else_to: BlockId(2),
+        };
+        t.for_each_use_mut(|r| r.0 += 1);
+        let mut uses = Vec::new();
+        t.for_each_use(|r| uses.push(r));
+        assert_eq!(uses, vec![Reg(5)]);
+        Terminator::Return(Some(Reg(7))).for_each_use(|r| uses.push(r));
+        assert_eq!(uses, vec![Reg(5), Reg(7)]);
+        for t in [
+            Terminator::Return(None),
+            Terminator::Jump(BlockId(0)),
+            Terminator::Halt,
+        ] {
+            t.for_each_use(|_| panic!("{t:?} reads no register"));
+        }
+    }
+
+    #[test]
+    fn ext_value_truncates_and_extends() {
+        assert_eq!(Width::W1.extend(0x1ff, false), 0xff);
+        assert_eq!(Width::W1.extend(0x1ff, true), -1);
+        assert_eq!(Width::W4.extend(-1, false), 0xffff_ffff);
+        assert_eq!(Width::W8.extend(i64::MIN, true), i64::MIN);
+    }
+
+    #[test]
+    fn bin_traps_on_division_by_zero() {
+        assert_eq!(BinOp::Div.eval(1, 0), None);
+        assert_eq!(BinOp::URem.eval(1, 0), None);
+        assert_eq!(BinOp::Div.eval(7, 2), Some(3));
+        assert_eq!(BinOp::Div.eval(i64::MIN, -1), Some(i64::MIN));
+    }
+
+    #[test]
+    fn unsigned_ops_treat_operands_as_u64() {
+        assert_eq!(BinOp::UDiv.eval(-1, 2), Some(i64::MAX));
+        assert_eq!(BinOp::UShr.eval(-1, 63), Some(1));
+        assert!(CmpOp::UGt.eval(-1, 1));
+        assert!(!CmpOp::SGt.eval(-1, 1));
+    }
+
+    #[test]
+    fn shifts_mask_their_count() {
+        assert_eq!(BinOp::Shl.eval(1, 64), Some(1));
+        assert_eq!(BinOp::Shl.eval(1, 65), Some(2));
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //!   [`Callee::Reg`] calls through them, and [`Global::func_relocs`] lets
 //!   dispatch tables live in initialized globals.
 //!
+//! The IL also defines its own semantics, so its users agree by
+//! construction: [`BinOp::eval`], [`CmpOp::eval`], [`UnOp::eval`] and
+//! [`Width::extend`] are what both VM engines execute and what constant
+//! folding computes, and the register visitors on [`Inst`] and
+//! [`Terminator`] are how the optimizer and the inliner find and rewrite
+//! registers.
+//!
 //! ## Example
 //!
 //! Build `int add1(int x) { return x + 1; }` by hand and print it:

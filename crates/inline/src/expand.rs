@@ -15,11 +15,8 @@
 use std::collections::HashMap;
 
 use impact_il::{
-    Block, BlockId, CallSiteId, Callee, FuncId, Function, Inst, Module, Reg, Slot, SlotId,
-    Terminator,
+    Block, BlockId, CallSiteId, Callee, FuncId, Function, Inst, Module, Reg, Slot, Terminator,
 };
-
-use crate::plan::InlinePlan;
 
 /// Statistics from the simulated function-definition cache (§3.3).
 ///
@@ -113,37 +110,6 @@ pub struct ExpansionRecord {
     pub cloned_sites: Vec<(CallSiteId, CallSiteId)>,
 }
 
-/// Executes every planned expansion, in linear order.
-///
-/// Returns one [`ExpansionRecord`] per performed expansion.
-///
-/// # Panics
-///
-/// Panics if the plan refers to sites that do not exist in `module` —
-/// plans are only valid for the module they were computed from.
-pub fn expand_plan(module: &mut Module, plan: &InlinePlan) -> Vec<ExpansionRecord> {
-    expand_plan_with_cache(module, plan, usize::MAX).0
-}
-
-/// Like [`expand_plan`], additionally simulating a definition cache of
-/// `cache_capacity` function bodies (§3.3's write-back cache) and
-/// returning its statistics.
-pub fn expand_plan_with_cache(
-    module: &mut Module,
-    plan: &InlinePlan,
-    cache_capacity: usize,
-) -> (Vec<ExpansionRecord>, DefCacheStats) {
-    let mut cache = DefCache::new(cache_capacity.min(1 << 20));
-    let mut records = Vec::with_capacity(plan.expansions.len());
-    for e in plan.execution_order() {
-        cache.touch(e.callee, false);
-        cache.touch(e.caller, true);
-        let record = expand_site(module, e.caller, e.site, e.callee);
-        records.push(record);
-    }
-    (records, cache.finish())
-}
-
 /// Expands a single direct call site: clones `callee`'s body into
 /// `caller`.
 pub fn expand_site(
@@ -230,38 +196,35 @@ pub fn expand_site(
     for cb in &callee_fn.blocks {
         let mut insts: Vec<Inst> = Vec::with_capacity(cb.insts.len() + 1);
         for inst in &cb.insts {
-            insts.push(rename_inst(inst, reg_off, slot_off, &fresh_ids));
-        }
-        let term = match &cb.term {
-            Terminator::Jump(b) => Terminator::Jump(BlockId::from_index(clone_base + b.index())),
-            Terminator::Branch {
-                cond,
-                then_to,
-                else_to,
-            } => Terminator::Branch {
-                cond: Reg(cond.0 + reg_off),
-                then_to: BlockId::from_index(clone_base + then_to.index()),
-                else_to: BlockId::from_index(clone_base + else_to.index()),
-            },
-            Terminator::Return(v) => {
-                // A cloned return funnels its value into the call's
-                // destination and jumps to the continuation.
-                match (v, dst) {
-                    (Some(r), Some(d)) => insts.push(Inst::Mov {
-                        dst: d,
-                        src: Reg(r.0 + reg_off),
-                    }),
-                    (None, Some(d)) => {
-                        // The callee falls off its end but the caller reads
-                        // a value: the VM defines this as 0.
-                        insts.push(Inst::Const { dst: d, value: 0 });
-                    }
-                    _ => {}
-                }
-                Terminator::Jump(cont_block)
+            let mut inst = inst.clone();
+            inst.for_each_use_mut(|r| r.0 += reg_off);
+            if let Some(d) = inst.def_mut() {
+                d.0 += reg_off;
             }
-            Terminator::Halt => Terminator::Halt,
-        };
+            match &mut inst {
+                Inst::AddrOfSlot { slot, .. } => slot.0 += slot_off,
+                Inst::Call { site, .. } => *site = fresh_ids[site],
+                _ => {}
+            }
+            insts.push(inst);
+        }
+        let mut term = cb.term.clone();
+        term.for_each_use_mut(|r| r.0 += reg_off);
+        term.map_successors(|b| BlockId::from_index(clone_base + b.index()));
+        if let Terminator::Return(v) = term {
+            // A cloned return funnels its value into the call's
+            // destination and jumps to the continuation.
+            match (v, dst) {
+                (Some(src), Some(d)) => insts.push(Inst::Mov { dst: d, src }),
+                (None, Some(d)) => {
+                    // The callee falls off its end but the caller reads
+                    // a value: the VM defines this as 0.
+                    insts.push(Inst::Const { dst: d, value: 0 });
+                }
+                _ => {}
+            }
+            term = Terminator::Jump(cont_block);
+        }
         caller_fn.blocks.push(Block { insts, term });
     }
 
@@ -270,94 +233,5 @@ pub fn expand_site(
         caller,
         callee,
         cloned_sites,
-    }
-}
-
-fn rename_inst(
-    inst: &Inst,
-    reg_off: u32,
-    slot_off: u32,
-    fresh_ids: &HashMap<CallSiteId, CallSiteId>,
-) -> Inst {
-    let r = |reg: Reg| Reg(reg.0 + reg_off);
-    match inst {
-        Inst::Const { dst, value } => Inst::Const {
-            dst: r(*dst),
-            value: *value,
-        },
-        Inst::Mov { dst, src } => Inst::Mov {
-            dst: r(*dst),
-            src: r(*src),
-        },
-        Inst::Un { op, dst, src } => Inst::Un {
-            op: *op,
-            dst: r(*dst),
-            src: r(*src),
-        },
-        Inst::Bin { op, dst, lhs, rhs } => Inst::Bin {
-            op: *op,
-            dst: r(*dst),
-            lhs: r(*lhs),
-            rhs: r(*rhs),
-        },
-        Inst::Cmp { op, dst, lhs, rhs } => Inst::Cmp {
-            op: *op,
-            dst: r(*dst),
-            lhs: r(*lhs),
-            rhs: r(*rhs),
-        },
-        Inst::AddrOfGlobal { dst, global } => Inst::AddrOfGlobal {
-            dst: r(*dst),
-            global: *global,
-        },
-        Inst::AddrOfSlot { dst, slot } => Inst::AddrOfSlot {
-            dst: r(*dst),
-            slot: SlotId(slot.0 + slot_off),
-        },
-        Inst::AddrOfFunc { dst, func } => Inst::AddrOfFunc {
-            dst: r(*dst),
-            func: *func,
-        },
-        Inst::Ext {
-            dst,
-            src,
-            width,
-            signed,
-        } => Inst::Ext {
-            dst: r(*dst),
-            src: r(*src),
-            width: *width,
-            signed: *signed,
-        },
-        Inst::Load {
-            dst,
-            addr,
-            width,
-            signed,
-        } => Inst::Load {
-            dst: r(*dst),
-            addr: r(*addr),
-            width: *width,
-            signed: *signed,
-        },
-        Inst::Store { addr, src, width } => Inst::Store {
-            addr: r(*addr),
-            src: r(*src),
-            width: *width,
-        },
-        Inst::Call {
-            site,
-            callee,
-            args,
-            dst,
-        } => Inst::Call {
-            site: fresh_ids[site],
-            callee: match callee {
-                Callee::Reg(reg) => Callee::Reg(r(*reg)),
-                other => *other,
-            },
-            args: args.iter().map(|a| r(*a)).collect(),
-            dst: dst.map(r),
-        },
     }
 }

@@ -13,9 +13,10 @@
 //!    under the cost function's two hazard bounds: a code-size budget
 //!    (code explosion, §2.3.1) and a frame-size bound for recursive
 //!    regions (control-stack explosion, §2.3.2).
-//! 4. **Physical expansion** ([`expand_plan`]) — code duplication,
-//!    variable renaming, parameter buffering, and symbol-table updates
-//!    (§2.4, §3.5).
+//! 4. **Physical expansion** ([`expand_plan_transactional`]) — code
+//!    duplication, variable renaming, parameter buffering, and
+//!    symbol-table updates (§2.4, §3.5), each arc re-verified and rolled
+//!    back on failure.
 //! 5. **Unreachable-function elimination** ([`eliminate_unreachable`]) —
 //!    conservative function-level dead code removal (§2.6).
 //!
@@ -62,12 +63,10 @@ pub use classify::{
     classify, ClassTotals, Classification, ClassifiedSite, SiteClass, UnsafeReason,
 };
 pub use eliminate::eliminate_unreachable;
-pub use expand::{
-    expand_plan, expand_plan_with_cache, expand_site, DefCacheStats, ExpansionRecord,
-};
+pub use expand::{expand_site, DefCacheStats, ExpansionRecord};
 pub use linearize::{linearize, positions_of, Linearization};
 pub use plan::{plan, InlinePlan, PlanDecision, PlannedExpansion, RejectReason};
-pub use promote::{promote_indirect_calls, PromotedSite};
+pub use promote::PromotedSite;
 pub use recover::{
     expand_plan_transactional, promote_indirect_calls_transactional, Incident, IncidentStage,
 };
@@ -97,7 +96,7 @@ pub struct InlineConfig {
     /// Extension (off by default, not in the paper): promote indirect
     /// call sites whose profiled targets are dominated by one function
     /// into guarded direct calls before classification, making the hot
-    /// leg inlinable (see [`promote_indirect_calls`]).
+    /// leg inlinable (see [`promote_indirect_calls_transactional`]).
     pub promote_indirect: bool,
     /// Capacity of the simulated function-definition cache (§3.3's
     /// write-back cache of "the most recent definitions of functions").

@@ -216,7 +216,7 @@ impl InlinePlan {
     }
 
     /// The *exact* module size (IL instructions) after this plan is
-    /// physically executed by [`crate::expand_plan`], computed by
+    /// physically executed by [`crate::expand_plan_transactional`], computed by
     /// simulating [`InlinePlan::execution_order`] with the expander's real
     /// arithmetic. Absorbing a callee grows the caller by the callee's
     /// *current* simulated size, plus one parameter-buffering `Mov` per
@@ -282,7 +282,7 @@ mod tests {
     use crate::classify::classify;
     use crate::linearize::{linearize, Linearization};
     use impact_cfront::{compile, Source};
-    use impact_vm::{run, VmConfig};
+    use impact_vm::{run, FaultPlan, VmConfig};
 
     fn plan_for(src: &str, config: &InlineConfig) -> (Module, InlinePlan) {
         let module = compile(&[Source::new("t.c", src)]).expect("compiles");
@@ -375,7 +375,9 @@ mod tests {
             let (module, p) = plan_for(src, &InlineConfig::default());
             assert!(!p.expansions.is_empty(), "no expansions for {src}");
             let mut m = module.clone();
-            crate::expand::expand_plan(&mut m, &p);
+            let (_, _, incidents) =
+                crate::expand_plan_transactional(&mut m, &p, usize::MAX, &FaultPlan::new());
+            assert!(incidents.is_empty(), "{incidents:?}");
             assert_eq!(
                 p.predicted_final_size(&module),
                 m.total_size(),

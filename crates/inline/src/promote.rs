@@ -36,38 +36,6 @@ pub struct PromotedSite {
     pub residual_weight: u64,
 }
 
-/// Promotes every hot, single-target-dominated indirect call site.
-///
-/// A site qualifies when the profile attributes at least `min_weight`
-/// hits to one function and that function covers at least `min_fraction`
-/// of the site's executions. `profile` is updated in place so the fresh
-/// direct sites carry the dominant weight (and the residual stays on the
-/// indirect leg) — downstream classification and planning then see the
-/// promoted arcs as ordinary weighted arcs.
-pub fn promote_indirect_calls(
-    module: &mut Module,
-    profile: &mut Profile,
-    min_weight: u64,
-    min_fraction: f64,
-) -> Vec<PromotedSite> {
-    let candidates = promote_candidates(module, profile, min_weight, min_fraction);
-    let mut promoted = Vec::new();
-    for (caller, site, target, hits, residual) in candidates {
-        if let Some(p) = promote_one(module, caller, site, target, hits, residual) {
-            // Seed the profile: the fresh direct site inherits the
-            // dominant hits; the original (indirect) site keeps the rest.
-            let limit = module.call_site_limit() as usize;
-            if profile.site_counts.len() < limit {
-                profile.site_counts.resize(limit, 0);
-            }
-            profile.site_counts[p.direct_site.0 as usize] = hits;
-            profile.site_counts[p.site.0 as usize] = residual;
-            promoted.push(p);
-        }
-    }
-    promoted
-}
-
 /// Collects qualifying sites (caller, site, dominant target, target hits,
 /// residual hits) without mutating anything.
 pub(crate) fn promote_candidates(
@@ -195,9 +163,9 @@ pub(crate) fn promote_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{inline_module, InlineConfig};
+    use crate::{inline_module, promote_indirect_calls_transactional, InlineConfig};
     use impact_cfront::{compile, Source};
-    use impact_vm::{run, VmConfig};
+    use impact_vm::{run, FaultPlan, VmConfig};
 
     const DISPATCH: &str = "int hot(int x) { return x * 2; }\n\
          int cold(int x) { return x + 100; }\n\
@@ -208,6 +176,24 @@ mod tests {
            return s & 0xff;\n\
          }";
 
+    /// Promotes with no fault armed; no promotion may roll back.
+    fn promote(
+        module: &mut Module,
+        profile: &mut Profile,
+        min_weight: u64,
+        min_fraction: f64,
+    ) -> Vec<PromotedSite> {
+        let (promoted, incidents) = promote_indirect_calls_transactional(
+            module,
+            profile,
+            min_weight,
+            min_fraction,
+            &FaultPlan::new(),
+        );
+        assert!(incidents.is_empty(), "{incidents:?}");
+        promoted
+    }
+
     fn compiled(src: &str) -> (Module, Profile, i64) {
         let module = compile(&[Source::new("t.c", src)]).expect("compiles");
         let out = run(&module, vec![], vec![], &VmConfig::default()).expect("runs");
@@ -217,7 +203,7 @@ mod tests {
     #[test]
     fn promotes_dominated_site_and_preserves_semantics() {
         let (mut module, mut profile, baseline) = compiled(DISPATCH);
-        let promoted = promote_indirect_calls(&mut module, &mut profile, 10, 0.5);
+        let promoted = promote(&mut module, &mut profile, 10, 0.5);
         assert_eq!(promoted.len(), 1);
         let p = &promoted[0];
         assert_eq!(module.function(p.target).name, "hot");
@@ -238,7 +224,7 @@ mod tests {
             let out = run(&module, vec![], vec![], &VmConfig::default()).unwrap();
             out.profile.calls
         };
-        let promoted = promote_indirect_calls(&mut module, &mut profile, 10, 0.5);
+        let promoted = promote(&mut module, &mut profile, 10, 0.5);
         assert_eq!(promoted.len(), 1);
         let report = inline_module(&mut module, &profile.averaged(), &InlineConfig::default());
         assert!(
@@ -264,10 +250,10 @@ mod tests {
     fn respects_min_weight_and_fraction() {
         let (mut module, mut profile, _) = compiled(DISPATCH);
         // Too high a weight bar: nothing promoted.
-        assert!(promote_indirect_calls(&mut module, &mut profile, 1000, 0.5).is_empty());
+        assert!(promote(&mut module, &mut profile, 1000, 0.5).is_empty());
         // Too high a fraction bar (hot covers 87.5%): nothing promoted.
         let (mut module2, mut profile2, _) = compiled(DISPATCH);
-        assert!(promote_indirect_calls(&mut module2, &mut profile2, 10, 0.95).is_empty());
+        assert!(promote(&mut module2, &mut profile2, 10, 0.95).is_empty());
     }
 
     #[test]
@@ -278,9 +264,9 @@ mod tests {
              int main() { int i; int s; s = 0; for (i = 0; i < 100; i++) s += pick[i & 1](i); return s & 0xff; }";
         let (mut module, mut profile, _) = compiled(src);
         // 50/50 split: fails a 0.6 fraction requirement.
-        assert!(promote_indirect_calls(&mut module, &mut profile, 10, 0.6).is_empty());
+        assert!(promote(&mut module, &mut profile, 10, 0.6).is_empty());
         // But a plain majority rule (0.5) promotes one leg.
-        let promoted = promote_indirect_calls(&mut module, &mut profile, 10, 0.5);
+        let promoted = promote(&mut module, &mut profile, 10, 0.5);
         assert_eq!(promoted.len(), 1);
         impact_il::verify_module(&module).unwrap();
     }
@@ -290,6 +276,6 @@ mod tests {
         let src = "int f(int x) { return x; }\n\
              int main() { int (*g)(int); g = f; if (0) return g(1); return f(2) + 40; }";
         let (mut module, mut profile, _) = compiled(src);
-        assert!(promote_indirect_calls(&mut module, &mut profile, 1, 0.5).is_empty());
+        assert!(promote(&mut module, &mut profile, 1, 0.5).is_empty());
     }
 }

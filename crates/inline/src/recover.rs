@@ -104,13 +104,19 @@ fn render_failure(errors: &[impact_il::VerifyError]) -> String {
     out
 }
 
-/// Transactional variant of [`crate::expand_plan_with_cache`].
-///
 /// Executes every planned expansion in linear order, each inside a
-/// snapshot/verify/rollback transaction. An arc whose expansion leaves
-/// the caller unverifiable (or whose `expand:verify` fault point fires)
-/// is rolled back and recorded as an [`Incident`]; the remaining plan
-/// still executes.
+/// snapshot/verify/rollback transaction, while simulating a definition
+/// cache of `cache_capacity` function bodies (§3.3's write-back cache).
+///
+/// An arc whose expansion leaves the caller unverifiable (or whose
+/// `expand:verify` fault point fires) is rolled back and recorded as an
+/// [`Incident`]; the remaining plan still executes. Returns one
+/// [`ExpansionRecord`] per performed expansion and the cache statistics.
+///
+/// # Panics
+///
+/// Panics if the plan refers to sites that do not exist in `module` —
+/// plans are only valid for the module they were computed from.
 pub fn expand_plan_transactional(
     module: &mut Module,
     plan: &InlinePlan,
@@ -151,7 +157,14 @@ pub fn expand_plan_transactional(
     (records, cache.finish(), incidents)
 }
 
-/// Transactional variant of [`crate::promote_indirect_calls`].
+/// Promotes every hot, single-target-dominated indirect call site.
+///
+/// A site qualifies when the profile attributes at least `min_weight`
+/// hits to one function and that function covers at least `min_fraction`
+/// of the site's executions. `profile` is updated in place so the fresh
+/// direct sites carry the dominant weight (and the residual stays on the
+/// indirect leg) — downstream classification and planning then see the
+/// promoted arcs as ordinary weighted arcs.
 ///
 /// Each qualifying site is promoted inside its own transaction: the
 /// caller is snapshotted, the guarded direct call is built, and the

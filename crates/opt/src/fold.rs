@@ -8,8 +8,6 @@ use std::collections::HashMap;
 
 use impact_il::{Function, Inst, Reg, Terminator};
 
-use crate::{eval_bin_const, eval_cmp_const, eval_ext_const, eval_un_const, rewrite_uses};
-
 /// Folds constant operations and propagates known constants within each
 /// block. A `Branch` on a known condition becomes a `Jump` (the seed for
 /// [`crate::jump_optimization`]).
@@ -22,13 +20,13 @@ pub fn constant_fold(func: &mut Function) -> usize {
         for inst in &mut block.insts {
             let rewritten = match *inst {
                 Inst::Mov { dst, src } => known.get(&src).map(|&v| (dst, v)),
-                Inst::Un { op, dst, src } => known.get(&src).map(|&v| (dst, eval_un_const(op, v))),
+                Inst::Un { op, dst, src } => known.get(&src).map(|&v| (dst, op.eval(v))),
                 Inst::Bin { op, dst, lhs, rhs } => match (known.get(&lhs), known.get(&rhs)) {
-                    (Some(&a), Some(&b)) => eval_bin_const(op, a, b).map(|v| (dst, v)),
+                    (Some(&a), Some(&b)) => op.eval(a, b).map(|v| (dst, v)),
                     _ => None,
                 },
                 Inst::Cmp { op, dst, lhs, rhs } => match (known.get(&lhs), known.get(&rhs)) {
-                    (Some(&a), Some(&b)) => Some((dst, eval_cmp_const(op, a, b))),
+                    (Some(&a), Some(&b)) => Some((dst, op.eval(a, b) as i64)),
                     _ => None,
                 },
                 Inst::Ext {
@@ -36,9 +34,7 @@ pub fn constant_fold(func: &mut Function) -> usize {
                     src,
                     width,
                     signed,
-                } => known
-                    .get(&src)
-                    .map(|&v| (dst, eval_ext_const(v, width, signed))),
+                } => known.get(&src).map(|&v| (dst, width.extend(v, signed))),
                 _ => None,
             };
             if let Some((dst, value)) = rewritten {
@@ -88,11 +84,9 @@ pub fn copy_propagation(func: &mut Function) -> usize {
         let mut copy_of: HashMap<Reg, Reg> = HashMap::new();
         for inst in &mut block.insts {
             // Resolve uses through the copy map first.
-            let before = inst.clone();
-            rewrite_uses(inst, &copy_of);
-            if *inst != before {
-                changed += 1;
-            }
+            let mut rewritten = false;
+            inst.for_each_use_mut(|r| rewritten |= resolve(&copy_of, r));
+            changed += usize::from(rewritten);
             // Kill facts about the redefined register (both directions).
             if let Some(d) = inst.def() {
                 copy_of.remove(&d);
@@ -106,23 +100,17 @@ pub fn copy_propagation(func: &mut Function) -> usize {
             }
         }
         // Rewrite terminator uses too.
-        match &mut block.term {
-            Terminator::Branch { cond, .. } => {
-                if let Some(&n) = copy_of.get(cond) {
-                    *cond = n;
-                    changed += 1;
-                }
-            }
-            Terminator::Return(Some(r)) => {
-                if let Some(&n) = copy_of.get(r) {
-                    *r = n;
-                    changed += 1;
-                }
-            }
-            _ => {}
-        }
+        block
+            .term
+            .for_each_use_mut(|r| changed += usize::from(resolve(&copy_of, r)));
     }
     changed
+}
+
+/// Rewrites `r` to the register it is a copy of, if any; reports whether
+/// it did.
+fn resolve(copy_of: &HashMap<Reg, Reg>, r: &mut Reg) -> bool {
+    copy_of.get(r).map(|&n| *r = n).is_some()
 }
 
 #[cfg(test)]

@@ -13,10 +13,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
-use impact_il::{BinOp, BlockId, CmpOp, Function, Inst, Module, Reg, Terminator, UnOp, Width};
-use impact_vm::FaultPlan;
+use impact_il::{BlockId, Function, Module};
+use impact_vm::{panic_message, FaultPlan};
 
 mod cse;
 mod fold;
@@ -49,11 +47,7 @@ pub fn dead_code_elimination(func: &mut Function) -> usize {
             for inst in &b.insts {
                 inst.for_each_use(|r| used[r.index()] = true);
             }
-            match &b.term {
-                Terminator::Branch { cond, .. } => used[cond.index()] = true,
-                Terminator::Return(Some(r)) => used[r.index()] = true,
-                _ => {}
-            }
+            b.term.for_each_use(|r| used[r.index()] = true);
         }
         let mut removed = 0;
         for b in &mut func.blocks {
@@ -318,126 +312,6 @@ pub fn optimize_module_observed(
     (total, skipped, fixpoints)
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "pass panicked with a non-string payload".to_string()
-    }
-}
-
-/// Shared helper: evaluate a binary op over two constants, mirroring VM
-/// semantics exactly. Returns `None` for division by zero (folding must
-/// not hide a trap).
-pub(crate) fn eval_bin_const(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::UDiv => {
-            if b == 0 {
-                return None;
-            }
-            ((a as u64) / (b as u64)) as i64
-        }
-        BinOp::URem => {
-            if b == 0 {
-                return None;
-            }
-            ((a as u64) % (b as u64)) as i64
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-        BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-        BinOp::UShr => ((a as u64).wrapping_shr(b as u32 & 63)) as i64,
-    })
-}
-
-pub(crate) fn eval_cmp_const(op: CmpOp, a: i64, b: i64) -> i64 {
-    let r = match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::SLt => a < b,
-        CmpOp::SLe => a <= b,
-        CmpOp::SGt => a > b,
-        CmpOp::SGe => a >= b,
-        CmpOp::ULt => (a as u64) < (b as u64),
-        CmpOp::ULe => (a as u64) <= (b as u64),
-        CmpOp::UGt => (a as u64) > (b as u64),
-        CmpOp::UGe => (a as u64) >= (b as u64),
-    };
-    r as i64
-}
-
-pub(crate) fn eval_un_const(op: UnOp, v: i64) -> i64 {
-    match op {
-        UnOp::Neg => v.wrapping_neg(),
-        UnOp::BitNot => !v,
-        UnOp::LogNot => (v == 0) as i64,
-    }
-}
-
-pub(crate) fn eval_ext_const(v: i64, width: Width, signed: bool) -> i64 {
-    match (width, signed) {
-        (Width::W1, true) => v as i8 as i64,
-        (Width::W1, false) => v as u8 as i64,
-        (Width::W2, true) => v as i16 as i64,
-        (Width::W2, false) => v as u16 as i64,
-        (Width::W4, true) => v as i32 as i64,
-        (Width::W4, false) => v as u32 as i64,
-        (Width::W8, _) => v,
-    }
-}
-
-/// Replaces every use of registers per `map` in one instruction.
-pub(crate) fn rewrite_uses(inst: &mut Inst, map: &HashMap<Reg, Reg>) {
-    let get = |r: &mut Reg| {
-        if let Some(&n) = map.get(r) {
-            *r = n;
-        }
-    };
-    match inst {
-        Inst::Const { .. }
-        | Inst::AddrOfGlobal { .. }
-        | Inst::AddrOfSlot { .. }
-        | Inst::AddrOfFunc { .. } => {}
-        Inst::Mov { src, .. } | Inst::Un { src, .. } | Inst::Ext { src, .. } => get(src),
-        Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
-            get(lhs);
-            get(rhs);
-        }
-        Inst::Load { addr, .. } => get(addr),
-        Inst::Store { addr, src, .. } => {
-            get(addr);
-            get(src);
-        }
-        Inst::Call { callee, args, .. } => {
-            if let impact_il::Callee::Reg(r) = callee {
-                get(r);
-            }
-            for a in args {
-                get(a);
-            }
-        }
-    }
-}
-
 /// Builds predecessor lists for a function's CFG.
 pub(crate) fn predecessors(func: &Function) -> Vec<Vec<BlockId>> {
     let mut preds = vec![Vec::new(); func.blocks.len()];
@@ -453,6 +327,7 @@ pub(crate) fn predecessors(func: &Function) -> Vec<Vec<BlockId>> {
 mod tests {
     use super::*;
     use impact_cfront::{compile, Source};
+    use impact_il::Terminator;
     use impact_vm::{run, VmConfig};
 
     /// Compiles, optimizes, runs, and checks the observable result is

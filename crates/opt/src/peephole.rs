@@ -1,10 +1,11 @@
 //! Strength reduction and algebraic identities (peephole).
 //!
 //! Complements [`crate::constant_fold`], which only fires when *both*
-//! operands are known: here one known operand is enough. Multiplications
-//! by powers of two become shifts, unsigned division/remainder by powers
-//! of two become shifts/masks, and identity operations collapse into
-//! copies — the standard strength reductions of the paper's era.
+//! operands are known: here one known operand is enough. Algebraic
+//! identities (`x + 0`, `x - 0`, `x * 1`, `x / 1`, `x & -1`, `x | 0`,
+//! `x ^ 0`, a shift by 0) collapse into copies; `x * 0`, `x & 0` and
+//! unsigned `x % 1` become 0; and `x * 2` becomes `x + x`. Each rewrite
+//! needs no value the block does not already hold.
 
 use std::collections::HashMap;
 
@@ -50,9 +51,6 @@ fn reduce(
 ) -> Option<Inst> {
     let mov = |src: Reg| Some(Inst::Mov { dst, src });
     let zero = || Some(Inst::Const { dst, value: 0 });
-    let pow2_shift = |v: i64| {
-        (v > 0 && (v as u64).is_power_of_two()).then(|| (v as u64).trailing_zeros() as i64)
-    };
     match op {
         BinOp::Add => match (lk, rk) {
             (_, Some(0)) => mov(lhs),
@@ -64,14 +62,6 @@ fn reduce(
             (_, Some(0)) | (Some(0), _) => zero(),
             (_, Some(1)) => mov(lhs),
             (Some(1), _) => mov(rhs),
-            // x * 2^k → x << k. The shift amount needs a register; only
-            // rewrite when the constant operand's register can be reused
-            // as the (already materialized) shift count... it cannot in
-            // general, so rewrite to a shift *by the same register* only
-            // when the count equals the constant: impossible. Instead,
-            // reuse the constant register by rewriting its value is not
-            // local-safe either. Punt unless the constant is 2: x * 2 →
-            // x + x, which needs no new value.
             (_, Some(2)) => Some(Inst::Bin {
                 op: BinOp::Add,
                 dst,
@@ -86,10 +76,6 @@ fn reduce(
             }),
             _ => None,
         },
-        // Unsigned division by 2^k: the shift count must equal the
-        // divisor's register value, so only k where the divisor register
-        // can serve as count... not expressible locally; fold the easy
-        // identity instead.
         BinOp::UDiv if rk == Some(1) => mov(lhs),
         BinOp::Div if rk == Some(1) => mov(lhs),
         BinOp::URem if rk == Some(1) => zero(),
@@ -105,10 +91,7 @@ fn reduce(
             _ => None,
         },
         BinOp::Shl | BinOp::Shr | BinOp::UShr if rk == Some(0) => mov(lhs),
-        _ => {
-            let _ = pow2_shift;
-            None
-        }
+        _ => None,
     }
 }
 

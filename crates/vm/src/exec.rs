@@ -20,7 +20,7 @@ use impact_il::{CallSiteId, Module};
 use crate::bytecode::{lower, BcFunc, Op, Program, NO_REG};
 use crate::error::VmError;
 use crate::icache::IcacheSim;
-use crate::interp::{eval_bin, eval_cmp, ext_value, RunOutcome, VmConfig};
+use crate::interp::{eval_bin, RunOutcome, VmConfig};
 use crate::memory::Memory;
 use crate::os::{BuiltinOutcome, NamedFile, Os};
 use crate::profile::{ProfTarget, Profile};
@@ -206,12 +206,7 @@ pub(crate) fn run(
                         steps += 1;
                     }
                     Op::Un { op, dst, src } => {
-                        let v = regs[base + *src as usize];
-                        regs[base + *dst as usize] = match op {
-                            impact_il::UnOp::Neg => v.wrapping_neg(),
-                            impact_il::UnOp::BitNot => !v,
-                            impact_il::UnOp::LogNot => (v == 0) as i64,
-                        };
+                        regs[base + *dst as usize] = op.eval(regs[base + *src as usize]);
                         pc += 1;
                         steps += 1;
                     }
@@ -226,7 +221,7 @@ pub(crate) fn run(
                     Op::Cmp { op, dst, lhs, rhs } => {
                         let a = regs[base + *lhs as usize];
                         let b = regs[base + *rhs as usize];
-                        regs[base + *dst as usize] = eval_cmp(*op, a, b) as i64;
+                        regs[base + *dst as usize] = op.eval(a, b) as i64;
                         pc += 1;
                         steps += 1;
                     }
@@ -242,7 +237,7 @@ pub(crate) fn run(
                         signed,
                     } => {
                         let v = regs[base + *src as usize];
-                        regs[base + *dst as usize] = ext_value(v, *width, *signed);
+                        regs[base + *dst as usize] = width.extend(v, *signed);
                         pc += 1;
                         steps += 1;
                     }
@@ -458,7 +453,7 @@ pub(crate) fn run(
                     } => {
                         let a = regs[base + *lhs as usize];
                         let b = regs[base + *rhs as usize];
-                        let taken = eval_cmp(*op, a, b);
+                        let taken = op.eval(a, b);
                         regs[base + *dst as usize] = taken as i64;
                         fused_next_slot!($icache, 4);
                         steps += 1;
@@ -534,7 +529,7 @@ pub(crate) fn run(
                         regs[base + *tmp as usize] = *imm;
                         fused_next_slot!($icache, 4);
                         let a = regs[base + *lhs as usize];
-                        regs[base + *dst as usize] = eval_cmp(*op, a, *imm) as i64;
+                        regs[base + *dst as usize] = op.eval(a, *imm) as i64;
                         pc += 1;
                         steps += 1;
                     }
@@ -571,7 +566,7 @@ pub(crate) fn run(
                         regs[base + *tmp as usize] = *imm;
                         fused_next_slot!($icache, 4);
                         let a = regs[base + *lhs as usize];
-                        let taken = eval_cmp(*op, a, *imm);
+                        let taken = op.eval(a, *imm);
                         regs[base + *dst as usize] = taken as i64;
                         fused_next_slot!($icache, 8);
                         steps += 1;

@@ -159,6 +159,19 @@ impl fmt::Display for FaultPlan {
     }
 }
 
+/// Renders a caught panic's payload as text: the message of a `&str` or
+/// `String` payload, otherwise a fixed placeholder. Every layer that
+/// catches a panic reports it through this.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 fn parse_nth(spec: &str, text: &str) -> Result<u64, String> {
     text.trim()
         .parse::<u64>()
@@ -167,7 +180,14 @@ fn parse_nth(spec: &str, text: &str) -> Result<u64, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::FaultPlan;
+    use super::{panic_message, FaultPlan};
+
+    #[test]
+    fn panic_message_renders_string_payloads() {
+        assert_eq!(panic_message(&"boom"), "boom");
+        assert_eq!(panic_message(&String::from("bang")), "bang");
+        assert_eq!(panic_message(&7u8), "non-string panic payload");
+    }
 
     #[test]
     fn unarmed_keys_never_fire() {

@@ -6,7 +6,7 @@
 //! recording node weights (function entries) and arc weights (call-site
 //! counts) for the weighted call graph.
 
-use impact_il::{BinOp, Callee, CmpOp, FuncId, Inst, Module, Reg, Terminator, UnOp, Width};
+use impact_il::{BinOp, Callee, CmpOp, FuncId, Inst, Module, Reg, Terminator, Width};
 
 use crate::error::VmError;
 use crate::fault::FaultPlan;
@@ -253,12 +253,7 @@ fn run_interp(
                 Inst::Const { dst, value } => fr.regs[dst.index()] = *value,
                 Inst::Mov { dst, src } => fr.regs[dst.index()] = fr.regs[src.index()],
                 Inst::Un { op, dst, src } => {
-                    let v = fr.regs[src.index()];
-                    fr.regs[dst.index()] = match op {
-                        UnOp::Neg => v.wrapping_neg(),
-                        UnOp::BitNot => !v,
-                        UnOp::LogNot => (v == 0) as i64,
-                    };
+                    fr.regs[dst.index()] = op.eval(fr.regs[src.index()]);
                 }
                 Inst::Bin { op, dst, lhs, rhs } => {
                     let a = fr.regs[lhs.index()];
@@ -489,7 +484,6 @@ fn push_frame(
     Ok(())
 }
 
-/// Shared binary-operator semantics (both engines call this).
 /// Outlined wrappers for the tree-walker: its dispatch match is
 /// register-starved, and measurably faster with the ALU helpers kept
 /// out of line, while the bytecode loop in [`crate::exec`] wants them
@@ -501,123 +495,19 @@ fn eval_bin_outlined(op: BinOp, a: i64, b: i64, func: &str) -> Result<i64, VmErr
 
 #[inline(never)]
 fn eval_cmp_outlined(op: CmpOp, a: i64, b: i64) -> bool {
-    eval_cmp(op, a, b)
+    op.eval(a, b)
 }
 
 #[inline(never)]
 fn ext_value_outlined(v: i64, width: Width, signed: bool) -> i64 {
-    ext_value(v, width, signed)
+    width.extend(v, signed)
 }
 
+/// [`BinOp::eval`] for the engines (both call this): a division or
+/// remainder by zero traps, naming the executing function.
 #[inline(always)]
 pub(crate) fn eval_bin(op: BinOp, a: i64, b: i64, func: &str) -> Result<i64, VmError> {
-    Ok(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(VmError::DivisionByZero {
-                    func: func.to_owned(),
-                });
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err(VmError::DivisionByZero {
-                    func: func.to_owned(),
-                });
-            }
-            a.wrapping_rem(b)
-        }
-        BinOp::UDiv => {
-            if b == 0 {
-                return Err(VmError::DivisionByZero {
-                    func: func.to_owned(),
-                });
-            }
-            ((a as u64) / (b as u64)) as i64
-        }
-        BinOp::URem => {
-            if b == 0 {
-                return Err(VmError::DivisionByZero {
-                    func: func.to_owned(),
-                });
-            }
-            ((a as u64) % (b as u64)) as i64
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-        BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-        BinOp::UShr => ((a as u64).wrapping_shr(b as u32 & 63)) as i64,
+    op.eval(a, b).ok_or_else(|| VmError::DivisionByZero {
+        func: func.to_owned(),
     })
-}
-
-/// Shared comparison semantics (both engines call this).
-#[inline(always)]
-pub(crate) fn eval_cmp(op: CmpOp, a: i64, b: i64) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::SLt => a < b,
-        CmpOp::SLe => a <= b,
-        CmpOp::SGt => a > b,
-        CmpOp::SGe => a >= b,
-        CmpOp::ULt => (a as u64) < (b as u64),
-        CmpOp::ULe => (a as u64) <= (b as u64),
-        CmpOp::UGt => (a as u64) > (b as u64),
-        CmpOp::UGe => (a as u64) >= (b as u64),
-    }
-}
-
-/// Shared truncate-then-extend semantics (both engines call this).
-#[inline(always)]
-pub(crate) fn ext_value(v: i64, width: Width, signed: bool) -> i64 {
-    match (width, signed) {
-        (Width::W1, true) => v as i8 as i64,
-        (Width::W1, false) => v as u8 as i64,
-        (Width::W2, true) => v as i16 as i64,
-        (Width::W2, false) => v as u16 as i64,
-        (Width::W4, true) => v as i32 as i64,
-        (Width::W4, false) => v as u32 as i64,
-        (Width::W8, _) => v,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ext_value_truncates_and_extends() {
-        assert_eq!(ext_value(0x1ff, Width::W1, false), 0xff);
-        assert_eq!(ext_value(0x1ff, Width::W1, true), -1);
-        assert_eq!(ext_value(-1, Width::W4, false), 0xffff_ffff);
-        assert_eq!(ext_value(i64::MIN, Width::W8, true), i64::MIN);
-    }
-
-    #[test]
-    fn bin_traps_on_division_by_zero() {
-        assert!(eval_bin(BinOp::Div, 1, 0, "f").is_err());
-        assert!(eval_bin(BinOp::URem, 1, 0, "f").is_err());
-        assert_eq!(eval_bin(BinOp::Div, 7, 2, "f").unwrap(), 3);
-        assert_eq!(eval_bin(BinOp::Div, i64::MIN, -1, "f").unwrap(), i64::MIN);
-    }
-
-    #[test]
-    fn unsigned_ops_treat_operands_as_u64() {
-        assert_eq!(eval_bin(BinOp::UDiv, -1, 2, "f").unwrap(), i64::MAX);
-        assert_eq!(eval_bin(BinOp::UShr, -1, 63, "f").unwrap(), 1);
-        assert!(eval_cmp(CmpOp::UGt, -1, 1));
-        assert!(!eval_cmp(CmpOp::SGt, -1, 1));
-    }
-
-    #[test]
-    fn shifts_mask_their_count() {
-        assert_eq!(eval_bin(BinOp::Shl, 1, 64, "f").unwrap(), 1);
-        assert_eq!(eval_bin(BinOp::Shl, 1, 65, "f").unwrap(), 2);
-    }
 }

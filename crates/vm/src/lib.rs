@@ -53,7 +53,7 @@ mod os;
 mod profile;
 
 pub use error::VmError;
-pub use fault::FaultPlan;
+pub use fault::{panic_message, FaultPlan};
 pub use icache::{IcacheConfig, IcacheSim, IcacheStats};
 pub use interp::{run, Engine, RunOutcome, VmConfig};
 pub use memory::{Memory, FUNC_BASE};
