@@ -19,7 +19,6 @@ pub fn constant_fold(func: &mut Function) -> usize {
         let mut known: HashMap<Reg, i64> = HashMap::new();
         for inst in &mut block.insts {
             let rewritten = match *inst {
-                Inst::Mov { dst, src } => known.get(&src).map(|&v| (dst, v)),
                 Inst::Un { op, dst, src } => known.get(&src).map(|&v| (dst, op.eval(v))),
                 Inst::Bin { op, dst, lhs, rhs } => match (known.get(&lhs), known.get(&rhs)) {
                     (Some(&a), Some(&b)) => op.eval(a, b).map(|v| (dst, v)),
@@ -41,16 +40,19 @@ pub fn constant_fold(func: &mut Function) -> usize {
                 *inst = Inst::Const { dst, value };
                 changed += 1;
             }
-            // Update the constant map.
-            match inst {
-                Inst::Const { dst, value } => {
-                    known.insert(*dst, *value);
-                }
-                other => {
-                    if let Some(d) = other.def() {
-                        known.remove(&d);
-                    }
-                }
+            // Update the constant map. A copy of a known constant stays a
+            // copy, since local CSE would turn the constant back into
+            // one, but later folds in the block see its value.
+            if let Some(d) = inst.def() {
+                let value = match *inst {
+                    Inst::Const { value, .. } => Some(value),
+                    Inst::Mov { src, .. } => known.get(&src).copied(),
+                    _ => None,
+                };
+                match value {
+                    Some(v) => known.insert(d, v),
+                    None => known.remove(&d),
+                };
             }
         }
         if let Terminator::Branch {
@@ -162,6 +164,28 @@ mod tests {
             f.block(BlockId(0)).insts[3],
             Inst::Const { value: 44, .. }
         ));
+    }
+
+    #[test]
+    fn folds_through_copies_without_rewriting_them() {
+        let mut fb = FunctionBuilder::new("t", 0);
+        let six = fb.const_(6);
+        let copy = fb.new_reg();
+        fb.mov(copy, six);
+        let seven = fb.const_(7);
+        let product = fb.bin(BinOp::Mul, copy, seven);
+        fb.terminate(Terminator::Return(Some(product)));
+        let mut f = fb.finish();
+        assert_eq!(constant_fold(&mut f), 1, "only the multiply is rewritten");
+        let b = f.block(BlockId(0));
+        assert_eq!(
+            b.insts[1],
+            Inst::Mov {
+                dst: copy,
+                src: six
+            }
+        );
+        assert!(matches!(b.insts[3], Inst::Const { value: 42, .. }));
     }
 
     #[test]
