@@ -7,12 +7,14 @@
 //! requests via `impactc request`, and `kill -TERM` for the drain path.
 #![cfg(unix)]
 
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 mod daemon;
+
+use impact_driver::serve::{write_response, Response};
 
 use daemon::{
     free_port, impactc, spawn_daemon, stop_and_collect, tmp_dir, write_hot_c, RunResult, BIN,
@@ -173,6 +175,45 @@ fn serve_sheds_overload_with_immediate_busy() {
     assert!(
         stdout.contains("; serve: drained after 3 requests, 2 ok, 0 errors, 1 shed"),
         "shed accounting wrong: {stdout}"
+    );
+}
+
+/// A shed connection gets `busy` and is closed unread. A request larger
+/// than the socket buffer is still being sent when that happens, so its
+/// send fails with `Broken pipe`; the client must still read the `busy`
+/// answer waiting in its buffer and report it.
+#[test]
+fn busy_answer_is_read_after_the_send_breaks() {
+    let dir = tmp_dir("shed-unread");
+    let sock = dir.join("d.sock");
+    let listener = UnixListener::bind(&sock).unwrap();
+    let shedder = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let busy = Response {
+            status: "busy".to_string(),
+            exit: 0,
+            cached: false,
+            retry_after_ms: 0,
+            payload: "request queue is full; retry later".to_string(),
+            spans: Vec::new(),
+            counters: Vec::new(),
+        };
+        write_response(&mut conn, &busy).unwrap();
+    });
+    let big = dir.join("big.c");
+    let comment = "x".repeat(1 << 20);
+    std::fs::write(
+        &big,
+        format!("int main() {{ return 0; }}\n/* {comment} */\n"),
+    )
+    .unwrap();
+    let r = request_with(&sock, big.to_str().unwrap(), &["--retries", "0"]);
+    shedder.join().unwrap();
+    assert_eq!(r.code, Some(2), "shed request must fail: {}", r.stderr);
+    assert!(
+        r.stderr.contains("server busy"),
+        "the busy answer was lost: {}",
+        r.stderr
     );
 }
 
