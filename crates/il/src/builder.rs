@@ -28,11 +28,6 @@ impl FunctionBuilder {
         }
     }
 
-    /// The block instructions are currently appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Whether the current block has already been given a terminator.
     ///
     /// Lowering uses this to avoid emitting dead code after a `return`

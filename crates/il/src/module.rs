@@ -146,22 +146,6 @@ impl Module {
             .map(FuncId::from_index)
     }
 
-    /// Looks up an external declaration by name.
-    pub fn extern_by_name(&self, name: &str) -> Option<ExternId> {
-        self.externs
-            .iter()
-            .position(|e| e.name == name)
-            .map(ExternId::from_index)
-    }
-
-    /// Looks up a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.globals
-            .iter()
-            .position(|g| g.name == name)
-            .map(GlobalId::from_index)
-    }
-
     /// The program entry point, `main` (the paper's call-graph root).
     pub fn main_id(&self) -> Option<FuncId> {
         self.func_by_name("main")

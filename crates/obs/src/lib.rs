@@ -497,20 +497,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Folds another snapshot into this one: spans are appended, counters
-    /// summed, histogram buckets summed element-wise (associatively, so
-    /// serial and parallel worker merges agree). Used by `batch`/`fuzz`
-    /// to aggregate per-unit metrics into a campaign-level summary.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.spans.extend(other.spans.iter().cloned());
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.hists {
-            self.hists.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
     /// Aggregates spans by name (count + total duration), sorted by name.
     pub fn span_stats(&self) -> Vec<SpanStat> {
         let mut by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
@@ -849,25 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_appends_spans_and_sums_counters() {
-        let mut a = Metrics::default();
-        a.counters.insert("x".into(), 2);
-        a.spans.push(SpanEvent {
-            name: "s".into(),
-            start_us: 0,
-            dur_us: 10,
-            trace: 0,
-        });
-        let mut b = Metrics::default();
-        b.counters.insert("x".into(), 3);
-        b.counters.insert("y".into(), 1);
-        a.merge(&b);
-        assert_eq!(a.counters.get("x"), Some(&5));
-        assert_eq!(a.counters.get("y"), Some(&1));
-        assert_eq!(a.spans.len(), 1);
-    }
-
-    #[test]
     fn chrome_trace_is_well_formed() {
         let t = Telemetry::enabled();
         {
@@ -995,15 +962,17 @@ mod tests {
     }
 
     #[test]
-    fn metrics_merge_sums_histogram_buckets() {
+    fn absorb_sums_histogram_buckets() {
         let ta = Telemetry::enabled();
         ta.record_value("hist:rtt-us", 10);
         ta.record_value("hist:rtt-us", 10);
         let tb = Telemetry::enabled();
         tb.record_value("hist:rtt-us", 10);
         tb.record_value("hist:service-us", 5000);
-        let mut merged = ta.snapshot();
-        merged.merge(&tb.snapshot());
+        let host = Telemetry::enabled();
+        host.absorb(&ta.snapshot(), 0);
+        host.absorb(&tb.snapshot(), 0);
+        let merged = host.snapshot();
         assert_eq!(merged.hists["hist:rtt-us"].count(), 3);
         assert_eq!(
             merged.hists["hist:rtt-us"].buckets()[Histogram::bucket_index(10)],

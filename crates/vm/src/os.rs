@@ -6,7 +6,7 @@
 //! the runtime behind those externs: byte-stream file I/O over in-memory
 //! named files, program arguments, a heap, and process exit.
 
-use impact_il::{ExternDecl, Module};
+use impact_il::ExternDecl;
 
 use crate::error::VmError;
 use crate::fault::FaultPlan;
@@ -410,18 +410,12 @@ impl Os {
         }
         (self.stdout, self.stderr, self.completed)
     }
-
-    /// Resolves every extern in `module` to a builtin, in [`impact_il::ExternId`]
-    /// order.
-    pub fn resolve_externs(module: &Module) -> Result<Vec<Builtin>, VmError> {
-        module.externs.iter().map(Builtin::resolve).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impact_il::{Function, Global};
+    use impact_il::{Function, Global, Module};
 
     fn mem() -> Memory {
         let mut m = Module::new();

@@ -107,11 +107,6 @@ impl Benchmark {
         (self.gen)(idx as u64)
     }
 
-    /// The full set of runs used by the tables (`self.runs` of them).
-    pub fn all_run_inputs(&self) -> Vec<RunInput> {
-        (0..self.runs).map(|i| self.run_input(i)).collect()
-    }
-
     /// Run pairs in the shape [`impact_vm::profile_runs`] consumes.
     pub fn profile_run_set(&self, max_runs: u32) -> Vec<(Vec<NamedFile>, Vec<String>)> {
         (0..self.runs.min(max_runs))
