@@ -2,6 +2,10 @@
 
 use std::fmt;
 
+use impact_il::{BinOp, CmpOp};
+
+use crate::ast::BinaryOp;
+
 /// Identifies a struct definition within a [`TypeTable`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StructId(pub u32);
@@ -356,6 +360,61 @@ pub fn promote(k: IntKind) -> IntKind {
     } else {
         k
     }
+}
+
+/// The kind of an integer literal: `int` when the value fits, else `long`.
+pub(crate) fn literal_kind(v: i64) -> IntKind {
+    if i32::try_from(v).is_ok() {
+        IntKind::I32
+    } else {
+        IntKind::I64
+    }
+}
+
+/// The IL comparison a C comparison lowers to, unsigned when its operands
+/// compare unsigned; `None` when `op` is not a comparison.
+pub(crate) fn cmp_op(op: BinaryOp, unsigned: bool) -> Option<CmpOp> {
+    use BinaryOp as B;
+    Some(match (op, unsigned) {
+        (B::Eq, _) => CmpOp::Eq,
+        (B::Ne, _) => CmpOp::Ne,
+        (B::Lt, false) => CmpOp::SLt,
+        (B::Lt, true) => CmpOp::ULt,
+        (B::Le, false) => CmpOp::SLe,
+        (B::Le, true) => CmpOp::ULe,
+        (B::Gt, false) => CmpOp::SGt,
+        (B::Gt, true) => CmpOp::UGt,
+        (B::Ge, false) => CmpOp::SGe,
+        (B::Ge, true) => CmpOp::UGe,
+        _ => return None,
+    })
+}
+
+/// The IL operator integer arithmetic `op` on operands of kinds `lk` and
+/// `rk` lowers to, with the kind of its result: the usual arithmetic
+/// conversions pick signed or unsigned division, and a shift takes the
+/// promoted kind of its left operand. `None` for the comparison, logical
+/// and comma operators.
+pub(crate) fn arith_op(op: BinaryOp, lk: IntKind, rk: IntKind) -> Option<(BinOp, IntKind)> {
+    use BinaryOp as B;
+    let kind = usual_arith(lk, rk);
+    let signed = kind.is_signed();
+    Some(match op {
+        B::Add => (BinOp::Add, kind),
+        B::Sub => (BinOp::Sub, kind),
+        B::Mul => (BinOp::Mul, kind),
+        B::Div if signed => (BinOp::Div, kind),
+        B::Div => (BinOp::UDiv, kind),
+        B::Rem if signed => (BinOp::Rem, kind),
+        B::Rem => (BinOp::URem, kind),
+        B::BitAnd => (BinOp::And, kind),
+        B::BitOr => (BinOp::Or, kind),
+        B::BitXor => (BinOp::Xor, kind),
+        B::Shl => (BinOp::Shl, promote(lk)),
+        B::Shr if promote(lk).is_signed() => (BinOp::Shr, promote(lk)),
+        B::Shr => (BinOp::UShr, promote(lk)),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

@@ -217,3 +217,41 @@ fn facade_pipeline_runs_a_workload() {
     assert_eq!(report.exit_before, report.exit_after);
     assert!(report.calls_after < report.calls_before / 2);
 }
+
+/// A global initializer folds to the value the same expression computes
+/// at run time, unsigned operands (`sizeof`, unsigned casts) included.
+#[test]
+fn global_initializers_compute_what_the_code_computes() {
+    let exprs = [
+        "3 < 4",
+        "(1 && 0) ? 10 : 20",
+        "(7, 2 >= 2 || 0)",
+        "sizeof(int) > -1",
+        "-sizeof(char) < 0",
+        "(unsigned short)1 > -1",
+        "(unsigned)-1 > 0",
+        "(0 ? sizeof(int) : -1) > 0",
+        "-8 / sizeof(int)",
+        "-9 % sizeof(long)",
+        "(unsigned long)-1 >> 60",
+        "-16 >> 2",
+    ];
+    let mut src = String::new();
+    for (i, e) in exprs.iter().enumerate() {
+        src += &format!("long g{i} = {e};\n");
+    }
+    src += "int main() {\n";
+    for (i, e) in exprs.iter().enumerate() {
+        src += &format!("    if (g{i} != (long)({e})) return {};\n", i + 1);
+    }
+    src += "    return 0;\n}\n";
+    let module = compile_one(&src);
+    let out = run(&module, vec![], vec![], &VmConfig::default()).unwrap();
+    let mismatch = out.exit_code as usize;
+    assert_eq!(
+        mismatch,
+        0,
+        "global `{}` differs from the run-time value",
+        exprs[mismatch.saturating_sub(1)]
+    );
+}
