@@ -1533,7 +1533,7 @@ impl<'t> Lowerer<'t> {
     /// are typed but never evaluated, per C semantics.
     fn infer_type(&mut self, fc: &FuncCtx, e: &Expr) -> Result<CType> {
         Ok(match &e.kind {
-            ExprKind::IntLit(_) => CType::int(),
+            ExprKind::IntLit(v) => CType::Int(literal_kind(*v)),
             ExprKind::StrLit(bytes) => {
                 CType::Array(Box::new(CType::char()), bytes.len() as u64 + 1)
             }

@@ -31,12 +31,15 @@
 //!   entries are evicted oldest-first — quarantined bytes are reclaimed
 //!   before any live entry is touched, and a *pinned* entry (one with an
 //!   in-flight read under it, see [`Cache::load`]) is never evicted.
-//! - The LRU order is persisted to a checksummed `cache-index.v1` file
-//!   through the same atomic publish path, so hit ordering survives a
-//!   daemon restart. The index is advisory: on startup the directory is
-//!   rebuilt by scan-and-validate (every entry re-checksummed; corrupt
-//!   ones quarantined on the spot), and a missing or corrupt index
-//!   degrades to a deterministic key-order rebuild, never an error.
+//! - The LRU order lives in memory; a hit or a store writes nothing
+//!   else. It is published once, when the cache closes, to a checksummed
+//!   `cache-index.v1` through the same atomic publish path, so hit
+//!   ordering survives a drained restart. The index is advisory: on
+//!   startup the directory is rebuilt by scan-and-validate (every entry
+//!   re-checksummed; corrupt ones quarantined on the spot), and a
+//!   missing or corrupt index degrades to a deterministic key-order
+//!   rebuild, never an error. After a `kill -9` the index is the last
+//!   clean close's: entries stored since then rebuild as the oldest.
 //! - Quarantine decisions survive restarts structurally: the corrupt
 //!   entry was renamed aside, so the key stays a miss until a fresh
 //!   compile republishes it.
@@ -322,6 +325,9 @@ impl Cache {
     ) -> Result<Cache, String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("create cache dir {}: {e}", dir.display()))?;
+        // Scanned first, so a cache that never opened publishes no index.
+        let scan =
+            std::fs::read_dir(dir).map_err(|e| format!("scan cache dir {}: {e}", dir.display()))?;
         let cache = Cache {
             dir: dir.to_path_buf(),
             obs: obs.clone(),
@@ -329,7 +335,7 @@ impl Cache {
             fault,
             state: Mutex::new(State::default()),
         };
-        cache.rebuild()?;
+        cache.rebuild(scan);
         Ok(cache)
     }
 
@@ -366,13 +372,11 @@ impl Cache {
 
     /// Scan-and-validate rebuild of the lifecycle state (see
     /// [`Cache::open_with`]).
-    fn rebuild(&self) -> Result<(), String> {
+    fn rebuild(&self, scan: std::fs::ReadDir) {
         let mut corrupt: Vec<(u64, String)> = Vec::new();
         {
             let mut st = self.lock_state();
-            let dir_iter = std::fs::read_dir(&self.dir)
-                .map_err(|e| format!("scan cache dir {}: {e}", self.dir.display()))?;
-            for entry in dir_iter.filter_map(Result::ok) {
+            for entry in scan.filter_map(Result::ok) {
                 let path = entry.path();
                 if path.file_name().and_then(|n| n.to_str()) == Some(HEALTH_PROBE) {
                     // A health probe leaked by a daemon killed between
@@ -459,10 +463,7 @@ impl Cache {
             }
             self.quarantine_entry(key, &reason);
         }
-        let mut st = self.lock_state();
-        self.evict_to_budget_locked(&mut st);
-        self.persist_index(&st);
-        Ok(())
+        self.evict_to_budget_locked(&mut self.lock_state(), self.budget);
     }
 
     /// Reads the persisted LRU order; a missing or invalid index is a
@@ -513,11 +514,11 @@ impl Cache {
         let _ = atomic_write_in(&self.dir, INDEX_NAME, body.as_bytes());
     }
 
-    /// Evicts oldest-first until the budget holds: quarantined bytes are
+    /// Evicts oldest-first until `budget` holds: quarantined bytes are
     /// reclaimed before any live entry, and pinned keys are never
     /// touched. Call with the state lock held.
-    fn evict_to_budget_locked(&self, st: &mut State) {
-        let Some(budget) = self.budget else { return };
+    fn evict_to_budget_locked(&self, st: &mut State, budget: Option<u64>) {
+        let Some(budget) = budget else { return };
         let total = |st: &State| -> u64 {
             st.live.values().map(|m| m.bytes).sum::<u64>()
                 + st.quarantined.values().map(|m| m.bytes).sum::<u64>()
@@ -575,20 +576,8 @@ impl Cache {
         // `cache:evict-read-race`: force a hostile eviction pass in the
         // middle of this read. The pin above must keep `key` alive.
         if self.chaos("cache:evict-read-race") {
-            let mut st = self.lock_state();
-            let saved_budget = self.budget;
             // Evict as if the budget were zero, without changing it.
-            let evict_all = Cache {
-                dir: self.dir.clone(),
-                obs: self.obs.clone(),
-                budget: Some(0),
-                fault: FaultPlan::new(),
-                state: Mutex::new(State::default()),
-            };
-            evict_all.evict_to_budget_locked(&mut st);
-            drop(evict_all);
-            debug_assert_eq!(saved_budget, self.budget);
-            self.persist_index(&st);
+            self.evict_to_budget_locked(&mut self.lock_state(), Some(0));
         }
         let name = Self::entry_name(key);
         let path = self.dir.join(&name);
@@ -618,7 +607,6 @@ impl Cache {
                         last_use: seq,
                     },
                 );
-                self.persist_index(&st);
                 Lookup::Hit(hit)
             }
             Err(reason) => {
@@ -664,8 +652,7 @@ impl Cache {
                 last_use: seq,
             },
         );
-        self.evict_to_budget_locked(&mut st);
-        self.persist_index(&st);
+        self.evict_to_budget_locked(&mut st, self.budget);
         Ok(())
     }
 
@@ -716,8 +703,7 @@ impl Cache {
         if rename.is_ok() {
             st.quarantined.insert(key, meta);
         }
-        self.evict_to_budget_locked(&mut st);
-        self.persist_index(&st);
+        self.evict_to_budget_locked(&mut st, self.budget);
         quarantined
     }
 
@@ -737,6 +723,13 @@ impl Cache {
         let bytes = st.live.values().map(|m| m.bytes).sum::<u64>()
             + st.quarantined.values().map(|m| m.bytes).sum::<u64>();
         (st.live.len(), st.quarantined.len(), bytes)
+    }
+}
+
+impl Drop for Cache {
+    /// Publishes the LRU index: the one write a hit or a store defers.
+    fn drop(&mut self) {
+        self.persist_index(&self.lock_state());
     }
 }
 
@@ -991,6 +984,35 @@ mod tests {
         let cache = Cache::open_with(&dir, &obs, Some(one), FaultPlan::new()).unwrap();
         assert!(entry_path(&dir, 3).exists(), "key-order fallback keeps 3");
         assert!(!entry_path(&dir, 1).exists());
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hits_and_stores_leave_the_index_to_close() {
+        let dir = tmp("index-at-close");
+        let obs = Telemetry::disabled();
+        let cache = Cache::open_with(&dir, &obs, None, FaultPlan::new()).unwrap();
+        let index = dir.join(INDEX_NAME);
+        let _ = std::fs::remove_file(&index);
+        for key in [1, 2, 3] {
+            cache.store(key, 0, &sized_report(100)).unwrap();
+        }
+        // Hit order 3, 1, 2 makes 3 the oldest, unlike key or store order.
+        for key in [3, 1, 2] {
+            assert!(matches!(cache.load(key), Lookup::Hit(_)));
+        }
+        assert!(!index.exists(), "a hit or a store wrote the index");
+        let one = entry_size(&dir, 1);
+        drop(cache);
+        assert!(index.exists(), "closing the cache must publish the index");
+        let cache = Cache::open_with(&dir, &obs, Some(one * 2), FaultPlan::new()).unwrap();
+        assert!(
+            !entry_path(&dir, 3).exists(),
+            "restart forgot the hit order"
+        );
+        assert!(entry_path(&dir, 1).exists());
+        assert!(entry_path(&dir, 2).exists());
         drop(cache);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,7 +11,7 @@
 //! Three pieces live here:
 //!
 //! * [`Listener`] / [`Conn`] — the daemon- and stream-side carrier
-//!   enums. Every capability the serve loop relies on (nonblocking
+//!   enums. Every capability the serve loop relies on (blocking
 //!   accept, mandatory read/write timeouts, `try_clone` for the
 //!   buffered reader, shutdown) is forwarded verbatim to the underlying
 //!   socket type.
@@ -33,6 +33,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
 
@@ -133,9 +134,8 @@ pub(crate) enum Listener {
 }
 
 impl Listener {
-    /// Accepts one pending connection. With the listener nonblocking,
-    /// returns `WouldBlock` when none is pending — the serve loop's poll
-    /// contract.
+    /// Blocks until a connection arrives and accepts it. Once the
+    /// listener's [`Listener::waker`] is shut down, fails at once.
     pub(crate) fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
@@ -143,16 +143,19 @@ impl Listener {
         }
     }
 
-    /// Switches the listener to nonblocking accepts.
+    /// A second handle on the listening socket. Its
+    /// [`Conn::shutdown_both`] wakes a thread blocked in
+    /// [`Listener::accept`], which Linux fails with `EINVAL`, on either
+    /// carrier.
     ///
     /// # Errors
     ///
     /// Returns the underlying socket error.
-    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(nonblocking),
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-        }
+    pub(crate) fn waker(&self) -> std::io::Result<Conn> {
+        Ok(match self {
+            Listener::Unix(l) => Conn::Unix(OwnedFd::from(l.try_clone()?).into()),
+            Listener::Tcp(l) => Conn::Tcp(OwnedFd::from(l.try_clone()?).into()),
+        })
     }
 }
 

@@ -7,10 +7,11 @@
 //! requests via `impactc request`, and `kill -TERM` for the drain path.
 #![cfg(unix)]
 
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod daemon;
 
@@ -73,6 +74,38 @@ fn socket_file_appears_only_once_the_daemon_accepts() {
     assert!(
         leftovers.is_empty(),
         "staging names left behind: {leftovers:?}"
+    );
+}
+
+/// A second daemon started on the same path removes the first one's
+/// socket file and renames its own into place. The first daemon must
+/// still drain on SIGTERM, and its drain must not reach the second.
+#[test]
+fn a_daemon_whose_socket_path_was_taken_over_still_drains() {
+    let dir = tmp_dir("takeover");
+    let sock = dir.join("d.sock");
+    let first = spawn_daemon(&sock, &["--jobs", "1"]);
+    let first_ino = std::fs::metadata(&sock).unwrap().ino();
+    let second = Command::new(BIN)
+        .arg("serve")
+        .arg(&sock)
+        .args(["--jobs", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn second daemon");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while std::fs::metadata(&sock).map_or(true, |m| m.ino() == first_ino) {
+        assert!(Instant::now() < deadline, "second daemon never bound");
+        std::thread::yield_now();
+    }
+    let (code, stdout) = stop_and_collect(first);
+    assert_eq!(code, Some(0), "first daemon must drain: {stdout}");
+    let (code, stdout) = stop_and_collect(second);
+    assert_eq!(code, Some(0), "second daemon must drain: {stdout}");
+    assert!(
+        stdout.contains("; serve: drained after 0 requests,"),
+        "the first daemon's drain reached the second: {stdout}"
     );
 }
 

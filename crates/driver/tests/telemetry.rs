@@ -273,6 +273,13 @@ fn bench_suite_writes_paper_style_report() {
             .any(|l| l.trim_start().starts_with("{\"name\":")),
         "no benchmark entries: {json}"
     );
+    // Tables 1-4 are pinned: a change that moves a cell regenerates the
+    // committed file with `impactc bench` in the repository root.
+    assert_eq!(
+        json,
+        include_str!("../../../BENCH_inline.json"),
+        "BENCH_inline.json differs from the committed copy"
+    );
     // The staging scratch dir never leaks a temp file.
     let staging = dir.join(".staging");
     if staging.is_dir() {

@@ -218,6 +218,15 @@ fn facade_pipeline_runs_a_workload() {
     assert!(report.calls_after < report.calls_before / 2);
 }
 
+/// `sizeof` of an integer literal takes the literal's kind: `int` when
+/// the value fits, else `long`.
+#[test]
+fn sizeof_a_literal_follows_its_kind() {
+    let module = compile_one("int main() { return sizeof(2147483647) + sizeof(2147483648) * 10; }");
+    let out = run(&module, vec![], vec![], &VmConfig::default()).unwrap();
+    assert_eq!(out.exit_code, 84);
+}
+
 /// A global initializer folds to the value the same expression computes
 /// at run time, unsigned operands (`sizeof`, unsigned casts) included.
 #[test]
