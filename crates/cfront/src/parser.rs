@@ -1344,6 +1344,12 @@ fn const_eval_typed(e: &Expr, types: &TypeTable) -> Result<(i64, IntKind)> {
             .size_of(ty)
             .map(|s| (s as i64, IntKind::U64))
             .ok_or_else(|| CompileError::new(e.span, "sizeof of unsized type".to_owned())),
+        // An operand that is itself a constant has its kind's size; one
+        // that names an object is not a constant here.
+        ExprKind::SizeofExpr(operand) => {
+            let (_, k) = const_eval_typed(operand, types)?;
+            Ok((k.size() as i64, IntKind::U64))
+        }
         ExprKind::Cast { ty, expr } => {
             let (v, _) = const_eval_typed(expr, types)?;
             match ty {

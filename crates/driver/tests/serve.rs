@@ -101,10 +101,18 @@ fn a_daemon_whose_socket_path_was_taken_over_still_drains() {
     }
     let (code, stdout) = stop_and_collect(first);
     assert_eq!(code, Some(0), "first daemon must drain: {stdout}");
+    // The first daemon's drain leaves the second's socket file alone.
+    assert!(
+        sock.exists(),
+        "the first daemon unlinked the second's socket"
+    );
+    let p = impactc(&["request", sock.to_str().unwrap(), "--ping"]);
+    assert_eq!(p.code, Some(0), "ping the second daemon: {}", p.stderr);
     let (code, stdout) = stop_and_collect(second);
     assert_eq!(code, Some(0), "second daemon must drain: {stdout}");
+    // The ping is the only request the second daemon saw.
     assert!(
-        stdout.contains("; serve: drained after 0 requests,"),
+        stdout.contains("; serve: drained after 1 requests, 0 ok, 0 errors, 0 shed, 1 pings,"),
         "the first daemon's drain reached the second: {stdout}"
     );
 }

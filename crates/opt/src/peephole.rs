@@ -7,33 +7,30 @@
 //! unsigned `x % 1` become 0; and `x * 2` becomes `x + x`. Each rewrite
 //! needs no value the block does not already hold.
 
-use std::collections::HashMap;
-
 use impact_il::{BinOp, Function, Inst, Reg};
+
+use crate::Facts;
 
 /// Runs the peephole over every block. Returns the number of rewrites.
 pub fn strength_reduce(func: &mut Function) -> usize {
     let mut changed = 0;
+    let mut known = Facts::new(func);
     for block in &mut func.blocks {
-        let mut known: HashMap<Reg, i64> = HashMap::new();
+        known.next_block();
         for inst in &mut block.insts {
             if let Inst::Bin { op, dst, lhs, rhs } = *inst {
-                let lk = known.get(&lhs).copied();
-                let rk = known.get(&rhs).copied();
+                let (lk, rk) = (known.get(lhs), known.get(rhs));
                 if let Some(rewritten) = reduce(op, dst, lhs, rhs, lk, rk) {
                     *inst = rewritten;
                     changed += 1;
                 }
             }
-            match inst {
-                Inst::Const { dst, value } => {
-                    known.insert(*dst, *value);
-                }
-                other => {
-                    if let Some(d) = other.def() {
-                        known.remove(&d);
-                    }
-                }
+            if let Some(d) = inst.def() {
+                let value = match *inst {
+                    Inst::Const { value, .. } => Some(value),
+                    _ => None,
+                };
+                known.set(d, value);
             }
         }
     }

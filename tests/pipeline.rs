@@ -244,6 +244,9 @@ fn global_initializers_compute_what_the_code_computes() {
         "-9 % sizeof(long)",
         "(unsigned long)-1 >> 60",
         "-16 >> 2",
+        "sizeof(1)",
+        "sizeof(4294967296)",
+        "sizeof((char)1)",
     ];
     let mut src = String::new();
     for (i, e) in exprs.iter().enumerate() {
@@ -263,4 +266,8 @@ fn global_initializers_compute_what_the_code_computes() {
         "global `{}` differs from the run-time value",
         exprs[mismatch.saturating_sub(1)]
     );
+    // An array size takes the same constant.
+    let module = compile_one("int a[sizeof(1)];\nint main() { return sizeof(a); }\n");
+    let out = run(&module, vec![], vec![], &VmConfig::default()).unwrap();
+    assert_eq!(out.exit_code, 16, "`int a[sizeof(1)];` has four ints");
 }
