@@ -4,12 +4,13 @@
 //! expansion, renaming, an optimizer pass or pass isolation that alters
 //! the emitted IL fails here even when program outputs stay the same.
 //! (`crates/workloads/tests/golden.rs` pins program outputs.) The same
-//! inputs check that the optimizer's change counts mean what they say.
+//! inputs check that the optimizer's change counts mean what they say,
+//! and that its fixpoint leaves no copy that coalescing would delete.
 
 use std::sync::OnceLock;
 
 use impact::cfront::{compile, Source};
-use impact::il::{module_to_string, Function, Module};
+use impact::il::{module_to_string, Function, Inst, Module};
 use impact::inline::{inline_module, InlineConfig};
 use impact::opt::{
     constant_fold, copy_propagation, dead_code_elimination, jump_optimization, local_cse,
@@ -80,50 +81,50 @@ fn emitted_il_matches_recorded_hashes() {
     // (input, IL after inlining, IL after optimization)
     let expected: &[(&str, u64, u64)] = &[
         // REGENERATE: cargo test --test il_golden -- --nocapture
-        ("cccp", 0xd8c37b63fec8d15f, 0x6cebd8cb4ba0080d),
-        ("cmp", 0xe42f1c537d425fec, 0x128d92ace852fe05),
-        ("compress", 0x2b55ad302091ebdd, 0xe606b54960bd3f08),
-        ("eqn", 0xf0505848cc5d8eb0, 0xc4a56d71d316d23e),
-        ("espresso", 0x6a524193bc6159f8, 0xa01992113fbf4938),
-        ("grep", 0x12f0f3cda05fefbb, 0x0a19c62f668a29af),
-        ("lex", 0x685d79dbe576c743, 0xd92e111ea5bda234),
-        ("make", 0x434d481cda5240c5, 0x716050c97cd520d0),
-        ("tar", 0xf38e1abf49d3b651, 0xe096ce0217cbc7de),
-        ("tee", 0x13cccf03a9e179d2, 0xb0112ff8e57b9743),
-        ("wc", 0x211294a97de49df4, 0xd23a5f6a0c859acd),
-        ("yacc", 0xf1258c2cd832a354, 0xdd97b72bd787df27),
-        ("fuzz:0", 0xf4aabee09eed689e, 0x109bffa7afd11262),
-        ("fuzz:1", 0xc0e7431077a2049d, 0x7c533f57f788b212),
-        ("fuzz:2", 0x0af27acb68dcc3d4, 0x518896da0cb8fdec),
-        ("fuzz:3", 0x1075ebe0f42e35f2, 0xf77b1873b8b70fe4),
-        ("fuzz:4", 0xdf805cfde864004d, 0x60fe9e86155ec9ea),
-        ("fuzz:5", 0x7a3dc44d92333249, 0x8cbbc2b6dd09d825),
-        ("fuzz:6", 0xbea26da5e840e1a0, 0x9c8fb76d724dbf3e),
-        ("fuzz:7", 0xca97cb4d2ec4a5df, 0x7b59e9d5a15a8c07),
-        ("fuzz:8", 0x2f2efaac20a6d04e, 0x2c025bfa1809e2ac),
-        ("fuzz:9", 0x1c07e6467828a516, 0xf5a1b531cef31224),
-        ("fuzz:10", 0x8066cb5b227f49da, 0xbb22e657a5f16ae1),
-        ("fuzz:11", 0x441c008992437e68, 0xc86040236298cbd4),
-        ("fuzz:12", 0xb255705e0930280f, 0x10f1f358d8238151),
-        ("fuzz:13", 0xf0bf56400fed2e73, 0x5189e9cc4cdd48c9),
-        ("fuzz:14", 0xdbbbc036e83cd0e4, 0x90ddffdc2371c3be),
-        ("fuzz:15", 0x29c93f2b34f5fe4a, 0xeb08e0a06c90d71a),
-        ("fuzz:16", 0x8f6a91d24e600fdb, 0x64b29e9379db42cf),
-        ("fuzz:17", 0x0b4a23fcf05cbe7d, 0x89456456506969f2),
-        ("fuzz:18", 0xfd0ce519c976126d, 0x5c0ecc65e44325d9),
-        ("fuzz:19", 0x7ebcf4ed5bd4dd5c, 0x76de5eeb4e23ba2c),
-        ("fuzz:20", 0x4751abe312e4872a, 0x93b868f2c9ee782e),
-        ("fuzz:21", 0x7b944bfa6c040e3f, 0x3217065b17526421),
-        ("fuzz:22", 0x7641786f0e887785, 0x74a63ca8729dfa94),
-        ("fuzz:23", 0x20a2e3a621c223b7, 0xfba28d4717a335c9),
-        ("fuzz:24", 0x640d344827d119ab, 0xa449324fa25a6512),
-        ("fuzz:25", 0xf36e004ac5028b9d, 0xa77d670451b4d2a1),
-        ("fuzz:26", 0xa579b98a94b0e460, 0xf62c0ae8916eb849),
-        ("fuzz:27", 0xaf400e2192652689, 0x5cfd2bed96f003f0),
-        ("fuzz:28", 0x60d63fcc2ee4128c, 0x02cc26231df19351),
-        ("fuzz:29", 0x5fe6ec090e71aafd, 0x6c3215dfa6ed60e5),
-        ("fuzz:30", 0xea5156c8d16d2fe2, 0xe70b5b4edd0d56d8),
-        ("fuzz:31", 0x436902684b73a4d8, 0xbad4d43dd0d69e17),
+        ("cccp", 0xd8c37b63fec8d15f, 0x2480bf3ca2ca1b6d),
+        ("cmp", 0xe42f1c537d425fec, 0x3442cea66a955c05),
+        ("compress", 0x2b55ad302091ebdd, 0x348f4406ca46a5cf),
+        ("eqn", 0xf0505848cc5d8eb0, 0x9330be33d9e0cbd3),
+        ("espresso", 0x6a524193bc6159f8, 0x84bbe3aaebd484cc),
+        ("grep", 0x12f0f3cda05fefbb, 0xe928773779cb409c),
+        ("lex", 0x685d79dbe576c743, 0x8a6de131f2f197c8),
+        ("make", 0x434d481cda5240c5, 0x654769cf4fef086b),
+        ("tar", 0xf38e1abf49d3b651, 0x95b2c4abe3de93bc),
+        ("tee", 0x13cccf03a9e179d2, 0x8f838739c3bd8f09),
+        ("wc", 0x211294a97de49df4, 0x47276ea8ca240706),
+        ("yacc", 0xf1258c2cd832a354, 0x945d07f2c5a99a78),
+        ("fuzz:0", 0xf4aabee09eed689e, 0xa3df4e323b9bb1c5),
+        ("fuzz:1", 0xc0e7431077a2049d, 0x9ef38723fdef52ea),
+        ("fuzz:2", 0x0af27acb68dcc3d4, 0x6addb137ae58a6fb),
+        ("fuzz:3", 0x1075ebe0f42e35f2, 0xef66b2318811a7f8),
+        ("fuzz:4", 0xdf805cfde864004d, 0x1e558179c9708c86),
+        ("fuzz:5", 0x7a3dc44d92333249, 0xdd5505b9a89d31f4),
+        ("fuzz:6", 0xbea26da5e840e1a0, 0x583ae684e71bbe55),
+        ("fuzz:7", 0xca97cb4d2ec4a5df, 0x422814ae36a44147),
+        ("fuzz:8", 0x2f2efaac20a6d04e, 0xe798c4856183d520),
+        ("fuzz:9", 0x1c07e6467828a516, 0x6239a75fa74c44b4),
+        ("fuzz:10", 0x8066cb5b227f49da, 0x8a92f9ea40dbcc84),
+        ("fuzz:11", 0x441c008992437e68, 0x0ce11a5086598d32),
+        ("fuzz:12", 0xb255705e0930280f, 0xa97d8399c7a2f403),
+        ("fuzz:13", 0xf0bf56400fed2e73, 0x918ccb408e904360),
+        ("fuzz:14", 0xdbbbc036e83cd0e4, 0x48f78701914db8b0),
+        ("fuzz:15", 0x29c93f2b34f5fe4a, 0xe2cb64b480d37f7e),
+        ("fuzz:16", 0x8f6a91d24e600fdb, 0x6cbbb4dd09302833),
+        ("fuzz:17", 0x0b4a23fcf05cbe7d, 0xa8b7a3eaf3d0c975),
+        ("fuzz:18", 0xfd0ce519c976126d, 0xc347c6bb424b3a9e),
+        ("fuzz:19", 0x7ebcf4ed5bd4dd5c, 0x31eade9178788a3f),
+        ("fuzz:20", 0x4751abe312e4872a, 0x83e01b3910332b01),
+        ("fuzz:21", 0x7b944bfa6c040e3f, 0xf605bb002d37740f),
+        ("fuzz:22", 0x7641786f0e887785, 0x0bba3f4c6c9031ad),
+        ("fuzz:23", 0x20a2e3a621c223b7, 0x8a2ad1fedb22a9fb),
+        ("fuzz:24", 0x640d344827d119ab, 0x02ee240ffee05489),
+        ("fuzz:25", 0xf36e004ac5028b9d, 0x084c0e0f2b3b8fc5),
+        ("fuzz:26", 0xa579b98a94b0e460, 0xf4221b560b839b66),
+        ("fuzz:27", 0xaf400e2192652689, 0x2e971881fea6b2fc),
+        ("fuzz:28", 0x60d63fcc2ee4128c, 0x01d4d7ae35113fc6),
+        ("fuzz:29", 0x5fe6ec090e71aafd, 0x09783eba1447709e),
+        ("fuzz:30", 0xea5156c8d16d2fe2, 0x57a47b0927c12f03),
+        ("fuzz:31", 0x436902684b73a4d8, 0x015a13a40bce82ed),
     ];
     let mut got = Vec::new();
     let mut nonconverged = Vec::new();
@@ -154,270 +155,270 @@ fn faulted_il_matches_recorded_hashes() {
     #[rustfmt::skip]
     let expected: &[(&str, u64, &str, u64)] = &[
         // REGENERATE: cargo test --test il_golden -- --nocapture
-        ("cccp", 1, "in_fill/constant-fold", 0x6cebd8cb4ba0080d),
-        ("cccp", 3, "in_fill/local-cse", 0xd1372a7c873ab0c4),
-        ("cccp", 8, "in_fill/strength-reduce", 0x6cebd8cb4ba0080d),
-        ("cccp", 17, "in_fill/dead-code-elimination", 0x0ca8fdc7745665b8),
-        ("cccp", 36, "in_byte/jump-optimization", 0x6cebd8cb4ba0080d),
-        ("cccp", 40, "in_byte/copy-propagation", 0x6cebd8cb4ba0080d),
-        ("cmp", 1, "in_fill/constant-fold", 0x128d92ace852fe05),
-        ("cmp", 3, "in_fill/local-cse", 0x6f0198ef1493ce5a),
-        ("cmp", 8, "in_fill/strength-reduce", 0x128d92ace852fe05),
-        ("cmp", 17, "in_fill/dead-code-elimination", 0xf7ba9541144f6c8a),
-        ("cmp", 36, "in_byte/jump-optimization", 0x128d92ace852fe05),
-        ("cmp", 40, "in_byte/copy-propagation", 0x128d92ace852fe05),
-        ("compress", 1, "in_fill/constant-fold", 0xe606b54960bd3f08),
-        ("compress", 3, "in_fill/local-cse", 0x89b5292ec3edfb59),
-        ("compress", 8, "in_fill/strength-reduce", 0xe606b54960bd3f08),
-        ("compress", 17, "in_fill/dead-code-elimination", 0xb7eda821476abc3d),
-        ("compress", 36, "in_byte/jump-optimization", 0xe606b54960bd3f08),
-        ("compress", 40, "in_byte/copy-propagation", 0xe606b54960bd3f08),
-        ("eqn", 1, "in_fill/constant-fold", 0xc4a56d71d316d23e),
-        ("eqn", 3, "in_fill/local-cse", 0x3edf0b7b2aa0f427),
-        ("eqn", 8, "in_fill/strength-reduce", 0xc4a56d71d316d23e),
-        ("eqn", 17, "in_fill/dead-code-elimination", 0x746b93becfe4eb97),
-        ("eqn", 36, "in_byte/jump-optimization", 0xc4a56d71d316d23e),
-        ("eqn", 40, "in_byte/copy-propagation", 0xc4a56d71d316d23e),
-        ("espresso", 1, "in_fill/constant-fold", 0xa01992113fbf4938),
-        ("espresso", 3, "in_fill/local-cse", 0x04775a34a724fe53),
-        ("espresso", 8, "in_fill/strength-reduce", 0xa01992113fbf4938),
-        ("espresso", 17, "in_fill/dead-code-elimination", 0x35e971ef0f29828b),
-        ("espresso", 36, "in_byte/jump-optimization", 0xa01992113fbf4938),
-        ("espresso", 40, "in_byte/copy-propagation", 0xa01992113fbf4938),
-        ("grep", 1, "in_fill/constant-fold", 0x0a19c62f668a29af),
-        ("grep", 3, "in_fill/local-cse", 0x3a2fa8cb8c3231e0),
-        ("grep", 8, "in_fill/strength-reduce", 0x0a19c62f668a29af),
-        ("grep", 17, "in_fill/dead-code-elimination", 0xab49c183eaecab70),
-        ("grep", 36, "in_byte/jump-optimization", 0x0a19c62f668a29af),
-        ("grep", 40, "in_byte/copy-propagation", 0x0a19c62f668a29af),
-        ("lex", 1, "in_fill/constant-fold", 0xd92e111ea5bda234),
-        ("lex", 3, "in_fill/local-cse", 0x9ba291cb12244263),
-        ("lex", 8, "in_fill/strength-reduce", 0xd92e111ea5bda234),
-        ("lex", 17, "in_fill/dead-code-elimination", 0x3c01642c5bcd246b),
-        ("lex", 36, "in_byte/jump-optimization", 0xd92e111ea5bda234),
-        ("lex", 40, "in_byte/copy-propagation", 0xd92e111ea5bda234),
-        ("make", 1, "in_fill/constant-fold", 0x716050c97cd520d0),
-        ("make", 3, "in_fill/local-cse", 0x4cd8827acfb5bb33),
-        ("make", 8, "in_fill/strength-reduce", 0x716050c97cd520d0),
-        ("make", 17, "in_fill/dead-code-elimination", 0x394a430b10fc2a37),
-        ("make", 36, "in_byte/jump-optimization", 0x716050c97cd520d0),
-        ("make", 40, "in_byte/copy-propagation", 0x716050c97cd520d0),
-        ("tar", 1, "in_fill/constant-fold", 0xe096ce0217cbc7de),
-        ("tar", 3, "in_fill/local-cse", 0x28e164b8131a1eb1),
-        ("tar", 8, "in_fill/strength-reduce", 0xe096ce0217cbc7de),
-        ("tar", 17, "in_fill/dead-code-elimination", 0xd4db8be92e4133bd),
-        ("tar", 36, "in_byte/jump-optimization", 0xe096ce0217cbc7de),
-        ("tar", 40, "in_byte/copy-propagation", 0xe096ce0217cbc7de),
-        ("tee", 1, "in_fill/constant-fold", 0xb0112ff8e57b9743),
-        ("tee", 3, "in_fill/local-cse", 0xe68fb9afe6ec4322),
-        ("tee", 8, "in_fill/strength-reduce", 0xb0112ff8e57b9743),
-        ("tee", 17, "in_fill/dead-code-elimination", 0xa6857cd06cae0386),
-        ("tee", 36, "in_byte/jump-optimization", 0xb0112ff8e57b9743),
-        ("tee", 40, "in_byte/copy-propagation", 0xb0112ff8e57b9743),
-        ("wc", 1, "in_fill/constant-fold", 0xd23a5f6a0c859acd),
-        ("wc", 3, "in_fill/local-cse", 0x8db01403a059d712),
-        ("wc", 8, "in_fill/strength-reduce", 0xd23a5f6a0c859acd),
-        ("wc", 17, "in_fill/dead-code-elimination", 0xc8883632d1151d82),
-        ("wc", 36, "in_byte/jump-optimization", 0xd23a5f6a0c859acd),
-        ("wc", 40, "in_byte/copy-propagation", 0xd23a5f6a0c859acd),
-        ("yacc", 1, "in_fill/constant-fold", 0xdd97b72bd787df27),
-        ("yacc", 3, "in_fill/local-cse", 0xdb855f082f6a46e2),
-        ("yacc", 8, "in_fill/strength-reduce", 0xdd97b72bd787df27),
-        ("yacc", 17, "in_fill/dead-code-elimination", 0x1718193d83655d66),
-        ("yacc", 36, "in_byte/jump-optimization", 0xdd97b72bd787df27),
-        ("yacc", 40, "in_byte/copy-propagation", 0xdd97b72bd787df27),
-        ("fuzz:0", 1, "leaf0/constant-fold", 0x109bffa7afd11262),
-        ("fuzz:0", 3, "leaf0/local-cse", 0x109bffa7afd11262),
-        ("fuzz:0", 8, "leaf1/strength-reduce", 0xf9a4c3ed359d0722),
-        ("fuzz:0", 17, "leaf1/dead-code-elimination", 0x109bffa7afd11262),
-        ("fuzz:0", 36, "leaf3/jump-optimization", 0x109bffa7afd11262),
-        ("fuzz:0", 40, "mid0/copy-propagation", 0x70c55b2bc8ffe6ce),
-        ("fuzz:1", 1, "leaf0/constant-fold", 0x7c533f57f788b212),
-        ("fuzz:1", 3, "leaf0/local-cse", 0x7c533f57f788b212),
-        ("fuzz:1", 8, "leaf1/strength-reduce", 0x7c533f57f788b212),
-        ("fuzz:1", 17, "leaf2/dead-code-elimination", 0x7c533f57f788b212),
-        ("fuzz:1", 36, "mid0/jump-optimization", 0x7c533f57f788b212),
-        ("fuzz:1", 40, "mid1/copy-propagation", 0x717d3a827da6b696),
-        ("fuzz:2", 1, "leaf0/constant-fold", 0x518896da0cb8fdec),
-        ("fuzz:2", 3, "leaf0/local-cse", 0x518896da0cb8fdec),
-        ("fuzz:2", 8, "leaf1/strength-reduce", 0x518896da0cb8fdec),
-        ("fuzz:2", 17, "leaf1/dead-code-elimination", 0x518896da0cb8fdec),
-        ("fuzz:2", 36, "mid0/jump-optimization", 0x518896da0cb8fdec),
-        ("fuzz:2", 40, "mid0/copy-propagation", 0x518896da0cb8fdec),
-        ("fuzz:3", 1, "leaf0/constant-fold", 0x7272a7d472b403e5),
-        ("fuzz:3", 3, "leaf0/local-cse", 0x2e33dbf482875a9d),
-        ("fuzz:3", 8, "leaf0/strength-reduce", 0xf77b1873b8b70fe4),
-        ("fuzz:3", 17, "leaf1/dead-code-elimination", 0xf77b1873b8b70fe4),
-        ("fuzz:3", 36, "mid0/jump-optimization", 0xf77b1873b8b70fe4),
-        ("fuzz:3", 40, "mid1/copy-propagation", 0x09cf3393bfe5232c),
-        ("fuzz:4", 1, "leaf0/constant-fold", 0x60fe9e86155ec9ea),
-        ("fuzz:4", 3, "leaf0/local-cse", 0x60fe9e86155ec9ea),
-        ("fuzz:4", 8, "leaf1/strength-reduce", 0x60fe9e86155ec9ea),
-        ("fuzz:4", 17, "leaf1/dead-code-elimination", 0x60fe9e86155ec9ea),
-        ("fuzz:4", 36, "mid0/jump-optimization", 0x60fe9e86155ec9ea),
-        ("fuzz:4", 40, "mid0/copy-propagation", 0x60fe9e86155ec9ea),
-        ("fuzz:5", 1, "leaf0/constant-fold", 0x8cbbc2b6dd09d825),
-        ("fuzz:5", 3, "leaf0/local-cse", 0x8cbbc2b6dd09d825),
-        ("fuzz:5", 8, "leaf1/strength-reduce", 0x8cbbc2b6dd09d825),
-        ("fuzz:5", 17, "leaf2/dead-code-elimination", 0xed046e0cf64cd602),
-        ("fuzz:5", 36, "mid0/jump-optimization", 0x8cbbc2b6dd09d825),
-        ("fuzz:5", 40, "mid0/copy-propagation", 0x8cbbc2b6dd09d825),
-        ("fuzz:6", 1, "leaf0/constant-fold", 0x9c8fb76d724dbf3e),
-        ("fuzz:6", 3, "leaf0/local-cse", 0x9c8fb76d724dbf3e),
-        ("fuzz:6", 8, "leaf1/strength-reduce", 0x9c8fb76d724dbf3e),
-        ("fuzz:6", 17, "leaf1/dead-code-elimination", 0xd777b8992b661df9),
-        ("fuzz:6", 36, "leaf3/jump-optimization", 0x9c8fb76d724dbf3e),
-        ("fuzz:6", 40, "leaf3/copy-propagation", 0x9c8fb76d724dbf3e),
-        ("fuzz:7", 1, "leaf0/constant-fold", 0x7b59e9d5a15a8c07),
-        ("fuzz:7", 3, "leaf0/local-cse", 0x7b59e9d5a15a8c07),
-        ("fuzz:7", 8, "leaf1/strength-reduce", 0x7b59e9d5a15a8c07),
-        ("fuzz:7", 17, "leaf2/dead-code-elimination", 0x81952525e5444d9f),
-        ("fuzz:7", 36, "mid0/jump-optimization", 0x7b59e9d5a15a8c07),
-        ("fuzz:7", 40, "mid0/copy-propagation", 0x7b59e9d5a15a8c07),
-        ("fuzz:8", 1, "leaf0/constant-fold", 0x2c025bfa1809e2ac),
-        ("fuzz:8", 3, "leaf0/local-cse", 0x2c025bfa1809e2ac),
-        ("fuzz:8", 8, "leaf1/strength-reduce", 0x2c025bfa1809e2ac),
-        ("fuzz:8", 17, "leaf1/dead-code-elimination", 0x2c025bfa1809e2ac),
-        ("fuzz:8", 36, "mid0/jump-optimization", 0x2c025bfa1809e2ac),
-        ("fuzz:8", 40, "mid0/copy-propagation", 0x2c025bfa1809e2ac),
-        ("fuzz:9", 1, "leaf0/constant-fold", 0xf5a1b531cef31224),
-        ("fuzz:9", 3, "leaf0/local-cse", 0xf5a1b531cef31224),
-        ("fuzz:9", 8, "leaf1/strength-reduce", 0xf5a1b531cef31224),
-        ("fuzz:9", 17, "leaf2/dead-code-elimination", 0x05a566319b08d463),
-        ("fuzz:9", 36, "leaf2/jump-optimization", 0xf5a1b531cef31224),
-        ("fuzz:9", 40, "leaf3/copy-propagation", 0xf5a1b531cef31224),
-        ("fuzz:10", 1, "leaf0/constant-fold", 0xbb22e657a5f16ae1),
-        ("fuzz:10", 3, "leaf0/local-cse", 0xbb22e657a5f16ae1),
-        ("fuzz:10", 8, "leaf1/strength-reduce", 0xbb22e657a5f16ae1),
-        ("fuzz:10", 17, "mid0/dead-code-elimination", 0x076c623289b2183a),
-        ("fuzz:10", 36, "mid1/jump-optimization", 0xddf798e44da7b6f7),
-        ("fuzz:10", 40, "mid1/copy-propagation", 0x2c3e444bb68b4547),
-        ("fuzz:11", 1, "leaf0/constant-fold", 0xc86040236298cbd4),
-        ("fuzz:11", 3, "leaf0/local-cse", 0xc86040236298cbd4),
-        ("fuzz:11", 8, "leaf1/strength-reduce", 0xc86040236298cbd4),
-        ("fuzz:11", 17, "leaf1/dead-code-elimination", 0xc86040236298cbd4),
-        ("fuzz:11", 36, "mid0/jump-optimization", 0xc86040236298cbd4),
-        ("fuzz:11", 40, "mid0/copy-propagation", 0xc86040236298cbd4),
-        ("fuzz:12", 1, "leaf0/constant-fold", 0xfd0b90eb7a24aef5),
-        ("fuzz:12", 3, "leaf0/local-cse", 0x10f1f358d8238151),
-        ("fuzz:12", 8, "leaf0/strength-reduce", 0x10f1f358d8238151),
-        ("fuzz:12", 17, "leaf1/dead-code-elimination", 0xa532e40a15d0bcd3),
-        ("fuzz:12", 36, "leaf2/jump-optimization", 0x10f1f358d8238151),
-        ("fuzz:12", 40, "mid0/copy-propagation", 0xfde2f444a03a5825),
-        ("fuzz:13", 1, "leaf0/constant-fold", 0x5189e9cc4cdd48c9),
-        ("fuzz:13", 3, "leaf0/local-cse", 0x5189e9cc4cdd48c9),
-        ("fuzz:13", 8, "leaf1/strength-reduce", 0x5189e9cc4cdd48c9),
-        ("fuzz:13", 17, "leaf1/dead-code-elimination", 0x5189e9cc4cdd48c9),
-        ("fuzz:13", 36, "leaf2/jump-optimization", 0x5189e9cc4cdd48c9),
-        ("fuzz:13", 40, "leaf3/copy-propagation", 0x5189e9cc4cdd48c9),
-        ("fuzz:14", 1, "leaf0/constant-fold", 0x2202e34afaa3e52b),
-        ("fuzz:14", 3, "leaf0/local-cse", 0x90ddffdc2371c3be),
-        ("fuzz:14", 8, "leaf0/strength-reduce", 0x90ddffdc2371c3be),
-        ("fuzz:14", 17, "leaf0/dead-code-elimination", 0x90ddffdc2371c3be),
-        ("fuzz:14", 36, "leaf2/jump-optimization", 0x90ddffdc2371c3be),
-        ("fuzz:14", 40, "mid0/copy-propagation", 0x785ac64cbec4fddd),
-        ("fuzz:15", 1, "leaf0/constant-fold", 0xc6e7e6b234c74190),
-        ("fuzz:15", 3, "leaf0/local-cse", 0xeb08e0a06c90d71a),
-        ("fuzz:15", 8, "leaf0/strength-reduce", 0xeb08e0a06c90d71a),
-        ("fuzz:15", 17, "leaf1/dead-code-elimination", 0xeb08e0a06c90d71a),
-        ("fuzz:15", 36, "mid0/jump-optimization", 0xeb08e0a06c90d71a),
-        ("fuzz:15", 40, "mid0/copy-propagation", 0xeb08e0a06c90d71a),
-        ("fuzz:16", 1, "leaf0/constant-fold", 0x134c453d66c45481),
-        ("fuzz:16", 3, "leaf0/local-cse", 0x8b451aaace036789),
-        ("fuzz:16", 8, "leaf0/strength-reduce", 0x64b29e9379db42cf),
-        ("fuzz:16", 17, "leaf1/dead-code-elimination", 0x64b29e9379db42cf),
-        ("fuzz:16", 36, "mid0/jump-optimization", 0x64b29e9379db42cf),
-        ("fuzz:16", 40, "mid0/copy-propagation", 0x64b29e9379db42cf),
-        ("fuzz:17", 1, "leaf0/constant-fold", 0x89456456506969f2),
-        ("fuzz:17", 3, "leaf0/local-cse", 0x89456456506969f2),
-        ("fuzz:17", 8, "leaf1/strength-reduce", 0x89456456506969f2),
-        ("fuzz:17", 17, "leaf2/dead-code-elimination", 0x133b5b26739cfd28),
-        ("fuzz:17", 36, "mid0/jump-optimization", 0x89456456506969f2),
-        ("fuzz:17", 40, "mid0/copy-propagation", 0x6dfb1f7eb28f619f),
-        ("fuzz:18", 1, "leaf0/constant-fold", 0x5c0ecc65e44325d9),
-        ("fuzz:18", 3, "leaf0/local-cse", 0x5c0ecc65e44325d9),
-        ("fuzz:18", 8, "leaf1/strength-reduce", 0x5c0ecc65e44325d9),
-        ("fuzz:18", 17, "mid0/dead-code-elimination", 0xa576eb03a16c17c3),
-        ("fuzz:18", 36, "mid0/jump-optimization", 0x5c0ecc65e44325d9),
-        ("fuzz:18", 40, "mid1/copy-propagation", 0xdd5d41245bd5017f),
-        ("fuzz:19", 1, "leaf0/constant-fold", 0x76de5eeb4e23ba2c),
-        ("fuzz:19", 3, "leaf0/local-cse", 0x76de5eeb4e23ba2c),
-        ("fuzz:19", 8, "leaf1/strength-reduce", 0x76de5eeb4e23ba2c),
-        ("fuzz:19", 17, "leaf1/dead-code-elimination", 0x76de5eeb4e23ba2c),
-        ("fuzz:19", 36, "leaf3/jump-optimization", 0x76de5eeb4e23ba2c),
-        ("fuzz:19", 40, "mid0/copy-propagation", 0x925ec4127091403c),
-        ("fuzz:20", 1, "leaf0/constant-fold", 0x93b868f2c9ee782e),
-        ("fuzz:20", 3, "leaf0/local-cse", 0x93b868f2c9ee782e),
-        ("fuzz:20", 8, "leaf1/strength-reduce", 0x93b868f2c9ee782e),
-        ("fuzz:20", 17, "mid0/dead-code-elimination", 0xe64d5e2fab121110),
-        ("fuzz:20", 36, "cold0/jump-optimization", 0x93b868f2c9ee782e),
-        ("fuzz:20", 40, "srec/copy-propagation", 0x93b868f2c9ee782e),
-        ("fuzz:21", 1, "leaf0/constant-fold", 0xc874c66076ed6a84),
-        ("fuzz:21", 3, "leaf0/local-cse", 0x3217065b17526421),
-        ("fuzz:21", 8, "leaf0/strength-reduce", 0x3217065b17526421),
-        ("fuzz:21", 17, "leaf1/dead-code-elimination", 0x3217065b17526421),
-        ("fuzz:21", 36, "mid0/jump-optimization", 0x3217065b17526421),
-        ("fuzz:21", 40, "mid1/copy-propagation", 0x5c846b8b276776f0),
-        ("fuzz:22", 1, "leaf0/constant-fold", 0x892a0fae38e65bff),
-        ("fuzz:22", 3, "leaf0/local-cse", 0xdd153ada83cadc64),
-        ("fuzz:22", 8, "leaf0/strength-reduce", 0x74a63ca8729dfa94),
-        ("fuzz:22", 17, "leaf1/dead-code-elimination", 0x465076d1e859d22a),
-        ("fuzz:22", 36, "leaf3/jump-optimization", 0x74a63ca8729dfa94),
-        ("fuzz:22", 40, "mid0/copy-propagation", 0xd341d1bcff6d8df5),
-        ("fuzz:23", 1, "leaf0/constant-fold", 0x17e5a3f1afd1ecd1),
-        ("fuzz:23", 3, "leaf0/local-cse", 0xfba28d4717a335c9),
-        ("fuzz:23", 8, "leaf0/strength-reduce", 0xfba28d4717a335c9),
-        ("fuzz:23", 17, "leaf0/dead-code-elimination", 0xfba28d4717a335c9),
-        ("fuzz:23", 36, "leaf2/jump-optimization", 0xfba28d4717a335c9),
-        ("fuzz:23", 40, "leaf3/copy-propagation", 0xdcf7db7c36e93ca6),
-        ("fuzz:24", 1, "leaf0/constant-fold", 0xa449324fa25a6512),
-        ("fuzz:24", 3, "leaf0/local-cse", 0xa449324fa25a6512),
-        ("fuzz:24", 8, "leaf1/strength-reduce", 0xa449324fa25a6512),
-        ("fuzz:24", 17, "leaf2/dead-code-elimination", 0xb8cba94bf445bc41),
-        ("fuzz:24", 36, "mid0/jump-optimization", 0xa85b57c473d3434b),
-        ("fuzz:24", 40, "mid0/copy-propagation", 0xecc15462e7e5b1dd),
-        ("fuzz:25", 1, "leaf0/constant-fold", 0xa77d670451b4d2a1),
-        ("fuzz:25", 3, "leaf0/local-cse", 0xa77d670451b4d2a1),
-        ("fuzz:25", 8, "leaf1/strength-reduce", 0xa77d670451b4d2a1),
-        ("fuzz:25", 17, "leaf1/dead-code-elimination", 0xa77d670451b4d2a1),
-        ("fuzz:25", 36, "mid0/jump-optimization", 0xa77d670451b4d2a1),
-        ("fuzz:25", 40, "mid0/copy-propagation", 0xa77d670451b4d2a1),
-        ("fuzz:26", 1, "leaf0/constant-fold", 0xf62c0ae8916eb849),
-        ("fuzz:26", 3, "leaf0/local-cse", 0xf62c0ae8916eb849),
-        ("fuzz:26", 8, "leaf1/strength-reduce", 0xf62c0ae8916eb849),
-        ("fuzz:26", 17, "leaf1/dead-code-elimination", 0xf62c0ae8916eb849),
-        ("fuzz:26", 36, "mid0/jump-optimization", 0x47644fbea73ccb2d),
-        ("fuzz:26", 40, "mid0/copy-propagation", 0x6af7d5ee25a27432),
-        ("fuzz:27", 1, "leaf0/constant-fold", 0x5cfd2bed96f003f0),
-        ("fuzz:27", 3, "leaf0/local-cse", 0x5cfd2bed96f003f0),
-        ("fuzz:27", 8, "leaf1/strength-reduce", 0x5cfd2bed96f003f0),
-        ("fuzz:27", 17, "leaf2/dead-code-elimination", 0x5cfd2bed96f003f0),
-        ("fuzz:27", 36, "mid0/jump-optimization", 0x5cfd2bed96f003f0),
-        ("fuzz:27", 40, "mid1/copy-propagation", 0x2f612a9f975cb48c),
-        ("fuzz:28", 1, "leaf0/constant-fold", 0x02cc26231df19351),
-        ("fuzz:28", 3, "leaf0/local-cse", 0x02cc26231df19351),
-        ("fuzz:28", 8, "leaf1/strength-reduce", 0x02cc26231df19351),
-        ("fuzz:28", 17, "leaf2/dead-code-elimination", 0xc4094121677be60e),
-        ("fuzz:28", 36, "mid0/jump-optimization", 0x02cc26231df19351),
-        ("fuzz:28", 40, "mid0/copy-propagation", 0x02cc26231df19351),
-        ("fuzz:29", 1, "leaf0/constant-fold", 0x6c3215dfa6ed60e5),
-        ("fuzz:29", 3, "leaf0/local-cse", 0x6c3215dfa6ed60e5),
-        ("fuzz:29", 8, "leaf1/strength-reduce", 0x6c3215dfa6ed60e5),
-        ("fuzz:29", 17, "leaf2/dead-code-elimination", 0xda6e51070b107fe8),
-        ("fuzz:29", 36, "leaf3/jump-optimization", 0x6c3215dfa6ed60e5),
-        ("fuzz:29", 40, "mid0/copy-propagation", 0x8d0ef3ef7fd63c24),
-        ("fuzz:30", 1, "leaf0/constant-fold", 0xe70b5b4edd0d56d8),
-        ("fuzz:30", 3, "leaf0/local-cse", 0xe70b5b4edd0d56d8),
-        ("fuzz:30", 8, "leaf1/strength-reduce", 0xe70b5b4edd0d56d8),
-        ("fuzz:30", 17, "leaf2/dead-code-elimination", 0xe70b5b4edd0d56d8),
-        ("fuzz:30", 36, "mid0/jump-optimization", 0xe70b5b4edd0d56d8),
-        ("fuzz:30", 40, "mid1/copy-propagation", 0xfce3d6f85e10fc24),
-        ("fuzz:31", 1, "leaf0/constant-fold", 0xbad4d43dd0d69e17),
-        ("fuzz:31", 3, "leaf0/local-cse", 0xbad4d43dd0d69e17),
-        ("fuzz:31", 8, "leaf1/strength-reduce", 0xbad4d43dd0d69e17),
-        ("fuzz:31", 17, "leaf2/dead-code-elimination", 0xbad4d43dd0d69e17),
-        ("fuzz:31", 36, "leaf3/jump-optimization", 0xbad4d43dd0d69e17),
-        ("fuzz:31", 40, "mid0/copy-propagation", 0x7b00dce44522e102),
+        ("cccp", 1, "in_fill/constant-fold", 0x2480bf3ca2ca1b6d),
+        ("cccp", 3, "in_fill/local-cse", 0xb49a4be8c8ed2efe),
+        ("cccp", 8, "in_fill/strength-reduce", 0x2480bf3ca2ca1b6d),
+        ("cccp", 17, "in_fill/dead-code-elimination", 0x6a5572d9bdc1658a),
+        ("cccp", 36, "in_byte/jump-optimization", 0x2480bf3ca2ca1b6d),
+        ("cccp", 40, "in_byte/copy-propagation", 0x2480bf3ca2ca1b6d),
+        ("cmp", 1, "in_fill/constant-fold", 0x3442cea66a955c05),
+        ("cmp", 3, "in_fill/local-cse", 0xf4058553047088ca),
+        ("cmp", 8, "in_fill/strength-reduce", 0x3442cea66a955c05),
+        ("cmp", 17, "in_fill/dead-code-elimination", 0x8c08839831f6b93a),
+        ("cmp", 36, "in_byte/jump-optimization", 0x3442cea66a955c05),
+        ("cmp", 40, "in_byte/copy-propagation", 0x3442cea66a955c05),
+        ("compress", 1, "in_fill/constant-fold", 0x348f4406ca46a5cf),
+        ("compress", 3, "in_fill/local-cse", 0x312df5262d4b89f6),
+        ("compress", 8, "in_fill/strength-reduce", 0x348f4406ca46a5cf),
+        ("compress", 17, "in_fill/dead-code-elimination", 0x9fb8234ba08705ba),
+        ("compress", 36, "in_byte/jump-optimization", 0x348f4406ca46a5cf),
+        ("compress", 40, "in_byte/copy-propagation", 0x348f4406ca46a5cf),
+        ("eqn", 1, "in_fill/constant-fold", 0x9330be33d9e0cbd3),
+        ("eqn", 3, "in_fill/local-cse", 0x930911ddfc3ef784),
+        ("eqn", 8, "in_fill/strength-reduce", 0x9330be33d9e0cbd3),
+        ("eqn", 17, "in_fill/dead-code-elimination", 0x3cec901f42a748f4),
+        ("eqn", 36, "in_byte/jump-optimization", 0x9330be33d9e0cbd3),
+        ("eqn", 40, "in_byte/copy-propagation", 0x9330be33d9e0cbd3),
+        ("espresso", 1, "in_fill/constant-fold", 0x84bbe3aaebd484cc),
+        ("espresso", 3, "in_fill/local-cse", 0x108228442e5cde83),
+        ("espresso", 8, "in_fill/strength-reduce", 0x84bbe3aaebd484cc),
+        ("espresso", 17, "in_fill/dead-code-elimination", 0x9fb8c2dff7f1dd9b),
+        ("espresso", 36, "in_byte/jump-optimization", 0x84bbe3aaebd484cc),
+        ("espresso", 40, "in_byte/copy-propagation", 0x84bbe3aaebd484cc),
+        ("grep", 1, "in_fill/constant-fold", 0xe928773779cb409c),
+        ("grep", 3, "in_fill/local-cse", 0xe0921477e6fe4af9),
+        ("grep", 8, "in_fill/strength-reduce", 0xe928773779cb409c),
+        ("grep", 17, "in_fill/dead-code-elimination", 0x764d2d04c13249a9),
+        ("grep", 36, "in_byte/jump-optimization", 0xe928773779cb409c),
+        ("grep", 40, "in_byte/copy-propagation", 0xe928773779cb409c),
+        ("lex", 1, "in_fill/constant-fold", 0x8a6de131f2f197c8),
+        ("lex", 3, "in_fill/local-cse", 0xe9d2c3aebd11c76b),
+        ("lex", 8, "in_fill/strength-reduce", 0x8a6de131f2f197c8),
+        ("lex", 17, "in_fill/dead-code-elimination", 0xdf0cd512b0b1d033),
+        ("lex", 36, "in_byte/jump-optimization", 0x8a6de131f2f197c8),
+        ("lex", 40, "in_byte/copy-propagation", 0x8a6de131f2f197c8),
+        ("make", 1, "in_fill/constant-fold", 0x654769cf4fef086b),
+        ("make", 3, "in_fill/local-cse", 0x914d0184ace7641e),
+        ("make", 8, "in_fill/strength-reduce", 0x654769cf4fef086b),
+        ("make", 17, "in_fill/dead-code-elimination", 0xb81acf7172db17ca),
+        ("make", 36, "in_byte/jump-optimization", 0x654769cf4fef086b),
+        ("make", 40, "in_byte/copy-propagation", 0x654769cf4fef086b),
+        ("tar", 1, "in_fill/constant-fold", 0x95b2c4abe3de93bc),
+        ("tar", 3, "in_fill/local-cse", 0x714809794be83a37),
+        ("tar", 8, "in_fill/strength-reduce", 0x95b2c4abe3de93bc),
+        ("tar", 17, "in_fill/dead-code-elimination", 0xdb8d63a311fc537b),
+        ("tar", 36, "in_byte/jump-optimization", 0x95b2c4abe3de93bc),
+        ("tar", 40, "in_byte/copy-propagation", 0x95b2c4abe3de93bc),
+        ("tee", 1, "in_fill/constant-fold", 0x8f838739c3bd8f09),
+        ("tee", 3, "in_fill/local-cse", 0x97b2a9e4c6da6528),
+        ("tee", 8, "in_fill/strength-reduce", 0x8f838739c3bd8f09),
+        ("tee", 17, "in_fill/dead-code-elimination", 0x7ccae95a53c80b24),
+        ("tee", 36, "in_byte/jump-optimization", 0x8f838739c3bd8f09),
+        ("tee", 40, "in_byte/copy-propagation", 0x8f838739c3bd8f09),
+        ("wc", 1, "in_fill/constant-fold", 0x47276ea8ca240706),
+        ("wc", 3, "in_fill/local-cse", 0x4f9885264f229be1),
+        ("wc", 8, "in_fill/strength-reduce", 0x47276ea8ca240706),
+        ("wc", 17, "in_fill/dead-code-elimination", 0x0c35a4e3195a9bf1),
+        ("wc", 36, "in_byte/jump-optimization", 0x47276ea8ca240706),
+        ("wc", 40, "in_byte/copy-propagation", 0x47276ea8ca240706),
+        ("yacc", 1, "in_fill/constant-fold", 0x945d07f2c5a99a78),
+        ("yacc", 3, "in_fill/local-cse", 0xef5a48c8eaaf3bb3),
+        ("yacc", 8, "in_fill/strength-reduce", 0x945d07f2c5a99a78),
+        ("yacc", 17, "in_fill/dead-code-elimination", 0x2e220d5273f495ff),
+        ("yacc", 36, "in_byte/jump-optimization", 0x945d07f2c5a99a78),
+        ("yacc", 40, "in_byte/copy-propagation", 0x945d07f2c5a99a78),
+        ("fuzz:0", 1, "leaf0/constant-fold", 0xa3df4e323b9bb1c5),
+        ("fuzz:0", 3, "leaf0/local-cse", 0xa3df4e323b9bb1c5),
+        ("fuzz:0", 8, "leaf1/strength-reduce", 0x7d77a78806cd3085),
+        ("fuzz:0", 17, "leaf1/dead-code-elimination", 0xa3df4e323b9bb1c5),
+        ("fuzz:0", 36, "leaf3/jump-optimization", 0xa3df4e323b9bb1c5),
+        ("fuzz:0", 40, "mid0/copy-propagation", 0x6fb6a283239c85c7),
+        ("fuzz:1", 1, "leaf0/constant-fold", 0x9ef38723fdef52ea),
+        ("fuzz:1", 3, "leaf0/local-cse", 0x9ef38723fdef52ea),
+        ("fuzz:1", 8, "leaf1/strength-reduce", 0x9ef38723fdef52ea),
+        ("fuzz:1", 17, "leaf2/dead-code-elimination", 0x9ef38723fdef52ea),
+        ("fuzz:1", 36, "mid0/jump-optimization", 0x9ef38723fdef52ea),
+        ("fuzz:1", 40, "mid1/copy-propagation", 0x362c74baec6ddf65),
+        ("fuzz:2", 1, "leaf0/constant-fold", 0x6addb137ae58a6fb),
+        ("fuzz:2", 3, "leaf0/local-cse", 0x6addb137ae58a6fb),
+        ("fuzz:2", 8, "leaf1/strength-reduce", 0x6addb137ae58a6fb),
+        ("fuzz:2", 17, "leaf1/dead-code-elimination", 0x6addb137ae58a6fb),
+        ("fuzz:2", 36, "mid0/jump-optimization", 0x6addb137ae58a6fb),
+        ("fuzz:2", 40, "mid0/copy-propagation", 0x6addb137ae58a6fb),
+        ("fuzz:3", 1, "leaf0/constant-fold", 0x140773751665dccd),
+        ("fuzz:3", 3, "leaf0/local-cse", 0xb90f80da232bfab5),
+        ("fuzz:3", 8, "leaf0/strength-reduce", 0xef66b2318811a7f8),
+        ("fuzz:3", 17, "leaf1/dead-code-elimination", 0xef66b2318811a7f8),
+        ("fuzz:3", 36, "mid0/jump-optimization", 0xef66b2318811a7f8),
+        ("fuzz:3", 40, "mid1/copy-propagation", 0x858b6295f5f4d9f2),
+        ("fuzz:4", 1, "leaf0/constant-fold", 0x1e558179c9708c86),
+        ("fuzz:4", 3, "leaf0/local-cse", 0x1e558179c9708c86),
+        ("fuzz:4", 8, "leaf1/strength-reduce", 0x1e558179c9708c86),
+        ("fuzz:4", 17, "leaf1/dead-code-elimination", 0x1e558179c9708c86),
+        ("fuzz:4", 36, "mid0/jump-optimization", 0x1e558179c9708c86),
+        ("fuzz:4", 40, "mid0/copy-propagation", 0x1e558179c9708c86),
+        ("fuzz:5", 1, "leaf0/constant-fold", 0xdd5505b9a89d31f4),
+        ("fuzz:5", 3, "leaf0/local-cse", 0xdd5505b9a89d31f4),
+        ("fuzz:5", 8, "leaf0/strength-reduce", 0xdd5505b9a89d31f4),
+        ("fuzz:5", 17, "leaf1/dead-code-elimination", 0xdd5505b9a89d31f4),
+        ("fuzz:5", 36, "mid0/jump-optimization", 0x75c7038e75a57d73),
+        ("fuzz:5", 40, "mid0/copy-propagation", 0xdd5505b9a89d31f4),
+        ("fuzz:6", 1, "leaf0/constant-fold", 0x583ae684e71bbe55),
+        ("fuzz:6", 3, "leaf0/local-cse", 0x583ae684e71bbe55),
+        ("fuzz:6", 8, "leaf1/strength-reduce", 0x583ae684e71bbe55),
+        ("fuzz:6", 17, "leaf1/dead-code-elimination", 0x583ae684e71bbe55),
+        ("fuzz:6", 36, "leaf3/jump-optimization", 0x583ae684e71bbe55),
+        ("fuzz:6", 40, "mid0/copy-propagation", 0xb02b01be60bb2475),
+        ("fuzz:7", 1, "leaf0/constant-fold", 0x422814ae36a44147),
+        ("fuzz:7", 3, "leaf0/local-cse", 0x422814ae36a44147),
+        ("fuzz:7", 8, "leaf1/strength-reduce", 0x422814ae36a44147),
+        ("fuzz:7", 17, "leaf2/dead-code-elimination", 0x3505909ccc060dc6),
+        ("fuzz:7", 36, "mid0/jump-optimization", 0x422814ae36a44147),
+        ("fuzz:7", 40, "mid0/copy-propagation", 0x422814ae36a44147),
+        ("fuzz:8", 1, "leaf0/constant-fold", 0xe798c4856183d520),
+        ("fuzz:8", 3, "leaf0/local-cse", 0xe798c4856183d520),
+        ("fuzz:8", 8, "leaf1/strength-reduce", 0xe798c4856183d520),
+        ("fuzz:8", 17, "leaf1/dead-code-elimination", 0xe798c4856183d520),
+        ("fuzz:8", 36, "mid0/jump-optimization", 0xe798c4856183d520),
+        ("fuzz:8", 40, "mid0/copy-propagation", 0xe798c4856183d520),
+        ("fuzz:9", 1, "leaf0/constant-fold", 0x6239a75fa74c44b4),
+        ("fuzz:9", 3, "leaf0/local-cse", 0x6239a75fa74c44b4),
+        ("fuzz:9", 8, "leaf1/strength-reduce", 0x6239a75fa74c44b4),
+        ("fuzz:9", 17, "leaf2/dead-code-elimination", 0x10fbe0406e08ac75),
+        ("fuzz:9", 36, "leaf2/jump-optimization", 0x6239a75fa74c44b4),
+        ("fuzz:9", 40, "leaf3/copy-propagation", 0x6239a75fa74c44b4),
+        ("fuzz:10", 1, "leaf0/constant-fold", 0x8a92f9ea40dbcc84),
+        ("fuzz:10", 3, "leaf0/local-cse", 0x8a92f9ea40dbcc84),
+        ("fuzz:10", 8, "leaf1/strength-reduce", 0x8a92f9ea40dbcc84),
+        ("fuzz:10", 17, "mid0/dead-code-elimination", 0xd16e08545330bf80),
+        ("fuzz:10", 36, "mid1/jump-optimization", 0x1da425702a41a6da),
+        ("fuzz:10", 40, "mid1/copy-propagation", 0x905aa660c51756cc),
+        ("fuzz:11", 1, "leaf0/constant-fold", 0x0ce11a5086598d32),
+        ("fuzz:11", 3, "leaf0/local-cse", 0x0ce11a5086598d32),
+        ("fuzz:11", 8, "leaf1/strength-reduce", 0x0ce11a5086598d32),
+        ("fuzz:11", 17, "leaf1/dead-code-elimination", 0x0ce11a5086598d32),
+        ("fuzz:11", 36, "mid0/jump-optimization", 0x0ce11a5086598d32),
+        ("fuzz:11", 40, "mid0/copy-propagation", 0x0ce11a5086598d32),
+        ("fuzz:12", 1, "leaf0/constant-fold", 0x540096102cd11a37),
+        ("fuzz:12", 3, "leaf0/local-cse", 0xa97d8399c7a2f403),
+        ("fuzz:12", 8, "leaf0/strength-reduce", 0xa97d8399c7a2f403),
+        ("fuzz:12", 17, "leaf1/dead-code-elimination", 0x62deea935fc70c1e),
+        ("fuzz:12", 36, "leaf2/jump-optimization", 0xa97d8399c7a2f403),
+        ("fuzz:12", 40, "mid0/copy-propagation", 0xf186b43edf286a67),
+        ("fuzz:13", 1, "leaf0/constant-fold", 0x918ccb408e904360),
+        ("fuzz:13", 3, "leaf0/local-cse", 0x918ccb408e904360),
+        ("fuzz:13", 8, "leaf1/strength-reduce", 0x918ccb408e904360),
+        ("fuzz:13", 17, "leaf1/dead-code-elimination", 0x918ccb408e904360),
+        ("fuzz:13", 36, "leaf2/jump-optimization", 0x918ccb408e904360),
+        ("fuzz:13", 40, "leaf3/copy-propagation", 0x08c410ba3cd9f190),
+        ("fuzz:14", 1, "leaf0/constant-fold", 0x533b689bacec9bbd),
+        ("fuzz:14", 3, "leaf0/local-cse", 0x48f78701914db8b0),
+        ("fuzz:14", 8, "leaf0/strength-reduce", 0x48f78701914db8b0),
+        ("fuzz:14", 17, "leaf0/dead-code-elimination", 0x48f78701914db8b0),
+        ("fuzz:14", 36, "leaf2/jump-optimization", 0x48f78701914db8b0),
+        ("fuzz:14", 40, "leaf2/copy-propagation", 0x48f78701914db8b0),
+        ("fuzz:15", 1, "leaf0/constant-fold", 0x6cf5beaa2a2302e8),
+        ("fuzz:15", 3, "leaf0/local-cse", 0xe2cb64b480d37f7e),
+        ("fuzz:15", 8, "leaf0/strength-reduce", 0xe2cb64b480d37f7e),
+        ("fuzz:15", 17, "leaf1/dead-code-elimination", 0xe2cb64b480d37f7e),
+        ("fuzz:15", 36, "mid0/jump-optimization", 0x666f915ec41a5552),
+        ("fuzz:15", 40, "mid0/copy-propagation", 0x9f921c511d532da4),
+        ("fuzz:16", 1, "leaf0/constant-fold", 0x6ca38171cd75f439),
+        ("fuzz:16", 3, "leaf0/local-cse", 0x189d4724355df921),
+        ("fuzz:16", 8, "leaf0/strength-reduce", 0x6cbbb4dd09302833),
+        ("fuzz:16", 17, "leaf1/dead-code-elimination", 0x6cbbb4dd09302833),
+        ("fuzz:16", 36, "mid0/jump-optimization", 0x6cbbb4dd09302833),
+        ("fuzz:16", 40, "mid0/copy-propagation", 0x6cbbb4dd09302833),
+        ("fuzz:17", 1, "leaf0/constant-fold", 0xa8b7a3eaf3d0c975),
+        ("fuzz:17", 3, "leaf0/local-cse", 0xa8b7a3eaf3d0c975),
+        ("fuzz:17", 8, "leaf1/strength-reduce", 0xa8b7a3eaf3d0c975),
+        ("fuzz:17", 17, "leaf2/dead-code-elimination", 0x67fd8df4e8fd6e96),
+        ("fuzz:17", 36, "mid0/jump-optimization", 0xa8b7a3eaf3d0c975),
+        ("fuzz:17", 40, "mid0/copy-propagation", 0xf50ac2b14fd744da),
+        ("fuzz:18", 1, "leaf0/constant-fold", 0xc347c6bb424b3a9e),
+        ("fuzz:18", 3, "leaf0/local-cse", 0xc347c6bb424b3a9e),
+        ("fuzz:18", 8, "leaf1/strength-reduce", 0xc347c6bb424b3a9e),
+        ("fuzz:18", 17, "mid0/dead-code-elimination", 0x47b0577a466cf006),
+        ("fuzz:18", 36, "mid0/jump-optimization", 0xc347c6bb424b3a9e),
+        ("fuzz:18", 40, "mid1/copy-propagation", 0x6442b9609236b90e),
+        ("fuzz:19", 1, "leaf0/constant-fold", 0x31eade9178788a3f),
+        ("fuzz:19", 3, "leaf0/local-cse", 0x31eade9178788a3f),
+        ("fuzz:19", 8, "leaf1/strength-reduce", 0x31eade9178788a3f),
+        ("fuzz:19", 17, "leaf1/dead-code-elimination", 0x31eade9178788a3f),
+        ("fuzz:19", 36, "leaf3/jump-optimization", 0x31eade9178788a3f),
+        ("fuzz:19", 40, "mid0/copy-propagation", 0x229b8e2be848674f),
+        ("fuzz:20", 1, "leaf0/constant-fold", 0x83e01b3910332b01),
+        ("fuzz:20", 3, "leaf0/local-cse", 0x83e01b3910332b01),
+        ("fuzz:20", 8, "leaf1/strength-reduce", 0x83e01b3910332b01),
+        ("fuzz:20", 17, "mid0/dead-code-elimination", 0x17c5dae4a5ae82ea),
+        ("fuzz:20", 36, "cold0/jump-optimization", 0x83e01b3910332b01),
+        ("fuzz:20", 40, "srec/copy-propagation", 0x83e01b3910332b01),
+        ("fuzz:21", 1, "leaf0/constant-fold", 0x74d140765e7bd3a8),
+        ("fuzz:21", 3, "leaf0/local-cse", 0xf605bb002d37740f),
+        ("fuzz:21", 8, "leaf0/strength-reduce", 0xf605bb002d37740f),
+        ("fuzz:21", 17, "leaf1/dead-code-elimination", 0xf605bb002d37740f),
+        ("fuzz:21", 36, "mid0/jump-optimization", 0xf605bb002d37740f),
+        ("fuzz:21", 40, "mid0/copy-propagation", 0xf605bb002d37740f),
+        ("fuzz:22", 1, "leaf0/constant-fold", 0x9fc20e16a8224f02),
+        ("fuzz:22", 3, "leaf0/local-cse", 0x7672341950b08c5d),
+        ("fuzz:22", 8, "leaf0/strength-reduce", 0x0bba3f4c6c9031ad),
+        ("fuzz:22", 17, "leaf1/dead-code-elimination", 0x4b6cd77139d30ff3),
+        ("fuzz:22", 36, "leaf3/jump-optimization", 0x0bba3f4c6c9031ad),
+        ("fuzz:22", 40, "mid0/copy-propagation", 0x59e52b83ebe5d96c),
+        ("fuzz:23", 1, "leaf0/constant-fold", 0xacce04b24721c897),
+        ("fuzz:23", 3, "leaf0/local-cse", 0x8a2ad1fedb22a9fb),
+        ("fuzz:23", 8, "leaf0/strength-reduce", 0x8a2ad1fedb22a9fb),
+        ("fuzz:23", 17, "leaf1/dead-code-elimination", 0x756eb495b8ccd1d4),
+        ("fuzz:23", 36, "leaf3/jump-optimization", 0x8a2ad1fedb22a9fb),
+        ("fuzz:23", 40, "leaf3/copy-propagation", 0x8a2ad1fedb22a9fb),
+        ("fuzz:24", 1, "leaf0/constant-fold", 0x02ee240ffee05489),
+        ("fuzz:24", 3, "leaf0/local-cse", 0x02ee240ffee05489),
+        ("fuzz:24", 8, "leaf1/strength-reduce", 0x02ee240ffee05489),
+        ("fuzz:24", 17, "leaf2/dead-code-elimination", 0xb95162cf3fd96b1f),
+        ("fuzz:24", 36, "mid0/jump-optimization", 0x42f97f1d99d1be48),
+        ("fuzz:24", 40, "mid0/copy-propagation", 0x4b1e6a5d56e5a172),
+        ("fuzz:25", 1, "leaf0/constant-fold", 0x084c0e0f2b3b8fc5),
+        ("fuzz:25", 3, "leaf0/local-cse", 0x084c0e0f2b3b8fc5),
+        ("fuzz:25", 8, "leaf1/strength-reduce", 0x084c0e0f2b3b8fc5),
+        ("fuzz:25", 17, "leaf1/dead-code-elimination", 0x084c0e0f2b3b8fc5),
+        ("fuzz:25", 36, "mid0/jump-optimization", 0x084c0e0f2b3b8fc5),
+        ("fuzz:25", 40, "mid0/copy-propagation", 0x084c0e0f2b3b8fc5),
+        ("fuzz:26", 1, "leaf0/constant-fold", 0xf4221b560b839b66),
+        ("fuzz:26", 3, "leaf0/local-cse", 0xf4221b560b839b66),
+        ("fuzz:26", 8, "leaf1/strength-reduce", 0xf4221b560b839b66),
+        ("fuzz:26", 17, "leaf1/dead-code-elimination", 0xf4221b560b839b66),
+        ("fuzz:26", 36, "mid0/jump-optimization", 0x18c09af28f796c6f),
+        ("fuzz:26", 40, "mid0/copy-propagation", 0x859cd6d76e8e5694),
+        ("fuzz:27", 1, "leaf0/constant-fold", 0x2e971881fea6b2fc),
+        ("fuzz:27", 3, "leaf0/local-cse", 0x2e971881fea6b2fc),
+        ("fuzz:27", 8, "leaf1/strength-reduce", 0x2e971881fea6b2fc),
+        ("fuzz:27", 17, "leaf2/dead-code-elimination", 0x2e971881fea6b2fc),
+        ("fuzz:27", 36, "mid0/jump-optimization", 0x2e971881fea6b2fc),
+        ("fuzz:27", 40, "mid1/copy-propagation", 0x3ce4aa98ef272fba),
+        ("fuzz:28", 1, "leaf0/constant-fold", 0x01d4d7ae35113fc6),
+        ("fuzz:28", 3, "leaf0/local-cse", 0x01d4d7ae35113fc6),
+        ("fuzz:28", 8, "leaf1/strength-reduce", 0x01d4d7ae35113fc6),
+        ("fuzz:28", 17, "leaf2/dead-code-elimination", 0x9a025f37642d80a1),
+        ("fuzz:28", 36, "mid0/jump-optimization", 0x01d4d7ae35113fc6),
+        ("fuzz:28", 40, "mid0/copy-propagation", 0x01d4d7ae35113fc6),
+        ("fuzz:29", 1, "leaf0/constant-fold", 0x09783eba1447709e),
+        ("fuzz:29", 3, "leaf0/local-cse", 0x09783eba1447709e),
+        ("fuzz:29", 8, "leaf1/strength-reduce", 0x09783eba1447709e),
+        ("fuzz:29", 17, "leaf2/dead-code-elimination", 0x317d71953c5039df),
+        ("fuzz:29", 36, "leaf3/jump-optimization", 0x09783eba1447709e),
+        ("fuzz:29", 40, "mid0/copy-propagation", 0xf678cb6e4cb81edc),
+        ("fuzz:30", 1, "leaf0/constant-fold", 0x57a47b0927c12f03),
+        ("fuzz:30", 3, "leaf0/local-cse", 0x57a47b0927c12f03),
+        ("fuzz:30", 8, "leaf1/strength-reduce", 0x57a47b0927c12f03),
+        ("fuzz:30", 17, "leaf2/dead-code-elimination", 0x57a47b0927c12f03),
+        ("fuzz:30", 36, "mid0/jump-optimization", 0x57a47b0927c12f03),
+        ("fuzz:30", 40, "mid1/copy-propagation", 0xc34cb3213c5deacd),
+        ("fuzz:31", 1, "leaf0/constant-fold", 0x015a13a40bce82ed),
+        ("fuzz:31", 3, "leaf0/local-cse", 0x015a13a40bce82ed),
+        ("fuzz:31", 8, "leaf1/strength-reduce", 0x015a13a40bce82ed),
+        ("fuzz:31", 17, "leaf2/dead-code-elimination", 0x015a13a40bce82ed),
+        ("fuzz:31", 36, "leaf3/jump-optimization", 0x015a13a40bce82ed),
+        ("fuzz:31", 40, "mid0/copy-propagation", 0x25506c62010031bc),
     ];
     let mut got = Vec::new();
     for (name, inlined) in corpus() {
@@ -502,5 +503,60 @@ fn reoptimizing_reports_no_change() {
             once,
             "{name}: re-optimizing changed the IL"
         );
+    }
+}
+
+/// The copies in `func` that copy propagation's coalescing rule would
+/// delete, as `bB/I`: a copy `y = x` whose source is not a parameter, is
+/// defined and read exactly once in the function (the read being the
+/// copy), is defined earlier in the copy's block, and whose target is
+/// neither read nor written in between.
+fn coalescible_copies(func: &Function) -> Vec<String> {
+    let mut defs = vec![0u32; func.num_regs as usize];
+    let mut uses = vec![0u32; func.num_regs as usize];
+    for b in &func.blocks {
+        for inst in &b.insts {
+            inst.for_each_use(|r| uses[r.index()] += 1);
+            if let Some(d) = inst.def() {
+                defs[d.index()] += 1;
+            }
+        }
+        b.term.for_each_use(|r| uses[r.index()] += 1);
+    }
+    let mut found = Vec::new();
+    for (bi, b) in func.blocks.iter().enumerate() {
+        for (j, inst) in b.insts.iter().enumerate() {
+            let Inst::Mov { dst: y, src: x } = *inst else {
+                continue;
+            };
+            if x.0 < func.num_params || defs[x.index()] != 1 || uses[x.index()] != 1 {
+                continue;
+            }
+            let Some(i) = b.insts[..j].iter().rposition(|d| d.def() == Some(x)) else {
+                continue;
+            };
+            let touches_y = |between: &Inst| {
+                let mut touched = between.def() == Some(y);
+                between.for_each_use(|r| touched |= r == y);
+                touched
+            };
+            if !b.insts[i + 1..j].iter().any(touches_y) {
+                found.push(format!("b{bi}/{j}"));
+            }
+        }
+    }
+    found
+}
+
+/// The optimizer's fixpoint leaves no copy for coalescing to take.
+#[test]
+fn optimized_corpus_keeps_no_coalescible_copy() {
+    for (name, inlined) in corpus() {
+        let mut module = inlined.clone();
+        optimize_module(&mut module);
+        for func in &module.functions {
+            let left = coalescible_copies(func);
+            assert!(left.is_empty(), "{name}/{}: {left:?}", func.name);
+        }
     }
 }
