@@ -932,7 +932,9 @@ impl<'t> Lowerer<'t> {
         Ok(converted)
     }
 
-    /// Converts a value to `target` type: integer narrowing via `Ext`,
+    /// Converts a value to `target` type: an integer conversion that can
+    /// change the value (narrowing, a change of signedness at one width, or
+    /// a signed value widened into an unsigned kind) via `Ext`,
     /// pointer/integer reinterpretation unchecked (as C compilers of the
     /// era allowed).
     fn coerce_to(
@@ -948,11 +950,14 @@ impl<'t> Lowerer<'t> {
                 if !from.is_scalar() {
                     return self.err(span, format!("cannot convert `{from}` to `{target}`"));
                 }
-                let needs_narrowing = match from {
-                    CType::Int(fk) => fk.size() > k.size() || (fk.size() == k.size() && fk != k),
-                    _ => true, // pointer → int
+                // Every value of `fk` is one of `k`: no conversion.
+                let fits = match from {
+                    CType::Int(fk) => {
+                        fk == k || (fk.size() < k.size() && (k.is_signed() || !fk.is_signed()))
+                    }
+                    _ => false, // pointer → int
                 };
-                if k.size() < 8 && needs_narrowing {
+                if k.size() < 8 && !fits {
                     let width = Width::from_bytes(k.size()).expect("int width");
                     Ok(fc.fb.push_ext(reg, width, k.is_signed()))
                 } else {
@@ -1391,6 +1396,12 @@ impl<'t> Lowerer<'t> {
             }
             _ => return self.err(span, format!("cannot increment `{ty}`")),
         };
+        // The new value is computed in the promoted kind, so storing it
+        // converts it back to the variable's.
+        let new_ty = match ty {
+            CType::Int(k) => CType::Int(promote(k)),
+            _ => ty.clone(),
+        };
         // Re-load the *old* value into a fresh register before the store
         // clobbers a register-backed variable.
         let saved_old = if matches!(op, IncDec::PostInc | IncDec::PostDec) {
@@ -1400,7 +1411,7 @@ impl<'t> Lowerer<'t> {
         } else {
             None
         };
-        let stored = self.store_place(fc, &place, RVal::new(new_reg, ty.clone()), span)?;
+        let stored = self.store_place(fc, &place, RVal::new(new_reg, new_ty), span)?;
         let result = match saved_old {
             Some(tmp) => tmp,
             None => stored,

@@ -1274,18 +1274,23 @@ impl<'c, 't> Parser<'c, 't> {
 /// labels, enum values, and global initializers) to the value the
 /// lowerer's code would compute for it.
 pub(crate) fn const_eval(e: &Expr, types: &TypeTable) -> Result<i64> {
-    const_eval_typed(e, types).map(|(v, _)| v)
+    const_eval_typed(e, types, true).map(|(v, _)| v)
 }
 
 /// [`const_eval`] with the expression's integer kind, typed as the
 /// lowerer types it: the kinds pick signed or unsigned comparison,
 /// division and right shift, through the IL operators the lowerer emits.
-fn const_eval_typed(e: &Expr, types: &TypeTable) -> Result<(i64, IntKind)> {
+///
+/// An `evaluated: false` expression is one C does not evaluate, such as
+/// the operand of `sizeof`: only its kind counts, so a division by zero
+/// in it is no error.
+fn const_eval_typed(e: &Expr, types: &TypeTable, evaluated: bool) -> Result<(i64, IntKind)> {
     let fail = |msg: &str| Err(CompileError::new(e.span, msg.to_owned()));
+    let eval = |e| const_eval_typed(e, types, evaluated);
     match &e.kind {
         ExprKind::IntLit(v) => Ok((*v, literal_kind(*v))),
         ExprKind::Unary { op, operand } => {
-            let (v, k) = const_eval_typed(operand, types)?;
+            let (v, k) = eval(operand)?;
             Ok(match op {
                 UnaryOp::Neg => (v.wrapping_neg(), promote(k)),
                 UnaryOp::Plus => (v, promote(k)),
@@ -1297,29 +1302,30 @@ fn const_eval_typed(e: &Expr, types: &TypeTable) -> Result<(i64, IntKind)> {
             })
         }
         ExprKind::Binary { op, lhs, rhs } => {
-            let (l, lk) = const_eval_typed(lhs, types)?;
+            let (l, lk) = eval(lhs)?;
             // Short-circuit forms must not evaluate the dead side if it
             // would divide by zero, and a comma takes its right side's
             // value and kind, so handle them first.
             match op {
                 BinaryOp::LogAnd => {
-                    let v = l != 0 && const_eval(rhs, types)? != 0;
+                    let v = l != 0 && eval(rhs)?.0 != 0;
                     return Ok((v as i64, IntKind::I32));
                 }
                 BinaryOp::LogOr => {
-                    let v = l != 0 || const_eval(rhs, types)? != 0;
+                    let v = l != 0 || eval(rhs)?.0 != 0;
                     return Ok((v as i64, IntKind::I32));
                 }
-                BinaryOp::Comma => return const_eval_typed(rhs, types),
+                BinaryOp::Comma => return eval(rhs),
                 _ => {}
             }
-            let (r, rk) = const_eval_typed(rhs, types)?;
+            let (r, rk) = eval(rhs)?;
             if let Some(cmp) = cmp_op(*op, !usual_arith(lk, rk).is_signed()) {
                 return Ok((cmp.eval(l, r) as i64, IntKind::I32));
             }
             let (il_op, kind) = arith_op(*op, lk, rk).expect("every operator is handled");
             match il_op.eval(l, r) {
                 Some(v) => Ok((v, kind)),
+                None if !evaluated => Ok((0, kind)),
                 None => fail("division by zero in constant expression"),
             }
         }
@@ -1328,30 +1334,30 @@ fn const_eval_typed(e: &Expr, types: &TypeTable) -> Result<(i64, IntKind)> {
             then_e,
             else_e,
         } => {
-            let (c, _) = const_eval_typed(cond, types)?;
+            let (c, _) = eval(cond)?;
             let (taken, dead) = if c != 0 {
                 (then_e, else_e)
             } else {
                 (else_e, then_e)
             };
-            let (v, k) = const_eval_typed(taken, types)?;
+            let (v, k) = eval(taken)?;
             // The result's kind joins both branches', as in the lowerer;
             // a dead branch that does not evaluate leaves the taken one's.
-            let dead_kind = const_eval_typed(dead, types).map_or(k, |(_, dk)| dk);
+            let dead_kind = const_eval_typed(dead, types, true).map_or(k, |(_, dk)| dk);
             Ok((v, usual_arith(k, dead_kind)))
         }
         ExprKind::SizeofType(ty) => types
             .size_of(ty)
             .map(|s| (s as i64, IntKind::U64))
             .ok_or_else(|| CompileError::new(e.span, "sizeof of unsized type".to_owned())),
-        // An operand that is itself a constant has its kind's size; one
-        // that names an object is not a constant here.
+        // An operand that is itself a constant has its kind's size, and is
+        // not evaluated; one that names an object is not a constant here.
         ExprKind::SizeofExpr(operand) => {
-            let (_, k) = const_eval_typed(operand, types)?;
+            let (_, k) = const_eval_typed(operand, types, false)?;
             Ok((k.size() as i64, IntKind::U64))
         }
         ExprKind::Cast { ty, expr } => {
-            let (v, _) = const_eval_typed(expr, types)?;
+            let (v, _) = eval(expr)?;
             match ty {
                 CType::Int(k) => Ok((truncate_to_kind(v, *k), *k)),
                 _ => fail("only integer casts are constant expressions"),

@@ -5,7 +5,7 @@ use impact::callgraph::{CallGraph, NodeKind};
 use impact::cfront::{compile, Source};
 use impact::il::verify_module;
 use impact::inline::{inline_module, InlineConfig};
-use impact::vm::{run, VmConfig};
+use impact::vm::{run, Engine, VmConfig};
 
 fn compile_one(src: &str) -> impact::il::Module {
     let m = compile(&[Source::new("t.c", src)]).expect("compiles");
@@ -247,6 +247,7 @@ fn global_initializers_compute_what_the_code_computes() {
         "sizeof(1)",
         "sizeof(4294967296)",
         "sizeof((char)1)",
+        "sizeof(1/0)",
     ];
     let mut src = String::new();
     for (i, e) in exprs.iter().enumerate() {
@@ -270,4 +271,33 @@ fn global_initializers_compute_what_the_code_computes() {
     let module = compile_one("int a[sizeof(1)];\nint main() { return sizeof(a); }\n");
     let out = run(&module, vec![], vec![], &VmConfig::default()).unwrap();
     assert_eq!(out.exit_code, 16, "`int a[sizeof(1)];` has four ints");
+}
+
+/// Narrow and unsigned conversions give what `gcc -O0` gives. The answers
+/// were recorded from it, so the test needs no C compiler.
+#[test]
+fn narrow_integers_convert_as_a_c_compiler_does() {
+    // (statements, the returned expression, gcc -O0's value for it)
+    let cases = [
+        ("char c = 127; c++;", "c < 0", 1),
+        ("char c = 127; ++c;", "c", -128),
+        ("unsigned char u = 0; u--;", "u", 255),
+        ("short s = -32768; s--;", "s", 32767),
+        ("unsigned short w = 65535; ++w;", "w", 0),
+        ("char c = 127; int r = c++;", "r", 127),
+        ("char c = -57; unsigned short u = c;", "u", 65479),
+        ("short s = -1; unsigned u = s;", "u", 4294967295),
+        ("char c = -1; unsigned long u = c;", "u == -1", 1),
+    ];
+    for (stmts, expr, want) in cases {
+        let module = compile_one(&format!("long main() {{ {stmts} return {expr}; }}"));
+        for engine in [Engine::Interp, Engine::Bytecode] {
+            let config = VmConfig {
+                engine,
+                ..VmConfig::default()
+            };
+            let out = run(&module, vec![], vec![], &config).unwrap();
+            assert_eq!(out.exit_code, want, "`{stmts}` then `{expr}` ({engine:?})");
+        }
+    }
 }
