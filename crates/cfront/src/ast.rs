@@ -5,7 +5,7 @@
 //! did).
 
 use crate::token::Span;
-use crate::types::CType;
+use crate::types::{CType, IntKind};
 
 /// Binary operators at the AST level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,8 +72,8 @@ pub struct Expr {
 /// Expression shapes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ExprKind {
-    /// Integer (or character) literal.
-    IntLit(i64),
+    /// Integer (or character) literal, with its kind.
+    IntLit(i64, IntKind),
     /// String literal (NUL appended during lowering).
     StrLit(Vec<u8>),
     /// Identifier reference.

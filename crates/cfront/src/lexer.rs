@@ -1,11 +1,13 @@
 //! Hand-written lexer for the C subset.
 //!
-//! Handles `//` and `/* */` comments, decimal/hex/octal integer literals,
-//! character literals with the usual escapes, string literals, and the full
-//! operator set including compound assignments.
+//! Handles `//` and `/* */` comments, decimal/hex/octal integer literals
+//! with their `u`/`l` suffixes, character literals with the usual escapes,
+//! string literals, and the full operator set including compound
+//! assignments.
 
 use crate::error::{CompileError, Result};
 use crate::token::{Keyword, Punct, Span, Token, TokenKind};
+use crate::types::{literal_kind, IntKind};
 
 struct Lexer<'s> {
     src: &'s [u8],
@@ -80,54 +82,41 @@ impl<'s> Lexer<'s> {
 
     fn lex_number(&mut self) -> Result<TokenKind> {
         let start = self.pos;
-        let value = if self.peek() == b'0' && (self.peek2() == b'x' || self.peek2() == b'X') {
+        let hex = self.peek() == b'0' && matches!(self.peek2(), b'x' | b'X');
+        if hex {
             self.pos += 2;
-            let digits_start = self.pos;
-            while self.peek().is_ascii_hexdigit() {
-                self.pos += 1;
-            }
-            if self.pos == digits_start {
-                return Err(self.err(start, "hex literal needs at least one digit"));
-            }
-            let text = std::str::from_utf8(&self.src[digits_start..self.pos]).expect("hex digits");
-            u64::from_str_radix(text, 16)
-                .map_err(|_| self.err(start, "hex literal out of range"))? as i64
-        } else if self.peek() == b'0' {
+        }
+        let digits_start = self.pos;
+        while self.peek().is_ascii_digit() || (hex && self.peek().is_ascii_hexdigit()) {
             self.pos += 1;
-            let digits_start = self.pos;
-            while self.peek().is_ascii_digit() {
-                self.pos += 1;
-            }
-            if self.pos == digits_start {
-                0
-            } else {
-                let text =
-                    std::str::from_utf8(&self.src[digits_start..self.pos]).expect("octal digits");
-                if text.bytes().any(|b| b == b'8' || b == b'9') {
-                    return Err(self.err(start, "invalid digit in octal literal"));
-                }
-                u64::from_str_radix(text, 8)
-                    .map_err(|_| self.err(start, "octal literal out of range"))?
-                    as i64
-            }
+        }
+        let text = std::str::from_utf8(&self.src[digits_start..self.pos]).expect("ascii digits");
+        let (radix, what) = if hex {
+            (16, "hex")
+        } else if text.starts_with('0') {
+            (8, "octal")
         } else {
-            let digits_start = self.pos;
-            while self.peek().is_ascii_digit() {
-                self.pos += 1;
-            }
-            let text =
-                std::str::from_utf8(&self.src[digits_start..self.pos]).expect("decimal digits");
-            text.parse::<u64>()
-                .map_err(|_| self.err(start, "integer literal out of range"))? as i64
+            (10, "integer")
         };
-        // Accept and ignore integer suffixes.
-        while matches!(self.peek(), b'u' | b'U' | b'l' | b'L') {
+        if hex && text.is_empty() {
+            return Err(self.err(start, "hex literal needs at least one digit"));
+        }
+        if radix == 8 && text.bytes().any(|b| b == b'8' || b == b'9') {
+            return Err(self.err(start, "invalid digit in octal literal"));
+        }
+        let value = u64::from_str_radix(text, radix)
+            .map_err(|_| self.err(start, format!("{what} literal out of range")))?;
+        let (mut unsigned, mut long) = (false, false);
+        while let c @ (b'u' | b'U' | b'l' | b'L') = self.peek() {
+            unsigned |= c.eq_ignore_ascii_case(&b'u');
+            long |= c.eq_ignore_ascii_case(&b'l');
             self.pos += 1;
         }
         if self.peek().is_ascii_alphanumeric() || self.peek() == b'_' || self.peek() == b'.' {
             return Err(self.err(start, "malformed integer literal"));
         }
-        Ok(TokenKind::IntLit(value))
+        let kind = literal_kind(value, radix == 10, unsigned, long);
+        Ok(TokenKind::IntLit(value as i64, kind))
     }
 
     fn lex_escape(&mut self, start: usize) -> Result<u8> {
@@ -174,7 +163,7 @@ impl<'s> Lexer<'s> {
         if self.bump() != b'\'' {
             return Err(self.err(start, "unterminated character literal"));
         }
-        Ok(TokenKind::IntLit(c as i8 as i64))
+        Ok(TokenKind::IntLit(c as i8 as i64, IntKind::I32))
     }
 
     fn lex_str_lit(&mut self) -> Result<TokenKind> {
@@ -418,15 +407,44 @@ mod tests {
         assert_eq!(
             kinds("0 42 0x1F 017 42u 42UL"),
             vec![
-                TokenKind::IntLit(0),
-                TokenKind::IntLit(42),
-                TokenKind::IntLit(31),
-                TokenKind::IntLit(15),
-                TokenKind::IntLit(42),
-                TokenKind::IntLit(42),
+                TokenKind::IntLit(0, IntKind::I32),
+                TokenKind::IntLit(42, IntKind::I32),
+                TokenKind::IntLit(31, IntKind::I32),
+                TokenKind::IntLit(15, IntKind::I32),
+                TokenKind::IntLit(42, IntKind::U32),
+                TokenKind::IntLit(42, IntKind::U64),
                 TokenKind::Eof,
             ]
         );
+    }
+
+    /// The kinds `gcc` gives these literals on x86-64, except the decimal
+    /// one above `LONG_MAX`, which is `__int128` there.
+    #[test]
+    fn literal_kinds_follow_the_c_table() {
+        use IntKind::*;
+        let cases = [
+            ("2147483647", I32),
+            ("2147483648", I64),
+            ("0x7fffffff", I32),
+            ("0x80000000", U32),
+            ("020000000000", U32),
+            ("0xFFFFFFFF", U32),
+            ("0x100000000", I64),
+            ("0xFFFFFFFFFFFFFFFF", U64),
+            ("9223372036854775808", U64),
+            ("3L", I64),
+            ("3u", U32),
+            ("3lU", U64),
+            ("4294967296u", U64),
+            ("0x80000000l", I64),
+        ];
+        for (text, kind) in cases {
+            let TokenKind::IntLit(_, k) = &kinds(text)[0] else {
+                panic!("`{text}` is no integer literal")
+            };
+            assert_eq!(*k, kind, "`{text}`");
+        }
     }
 
     #[test]
@@ -441,11 +459,11 @@ mod tests {
         assert_eq!(
             kinds(r"'a' '\n' '\0' '\x41' '\\'"),
             vec![
-                TokenKind::IntLit(97),
-                TokenKind::IntLit(10),
-                TokenKind::IntLit(0),
-                TokenKind::IntLit(65),
-                TokenKind::IntLit(92),
+                TokenKind::IntLit(97, IntKind::I32),
+                TokenKind::IntLit(10, IntKind::I32),
+                TokenKind::IntLit(0, IntKind::I32),
+                TokenKind::IntLit(65, IntKind::I32),
+                TokenKind::IntLit(92, IntKind::I32),
                 TokenKind::Eof,
             ]
         );
@@ -455,7 +473,7 @@ mod tests {
     fn char_literal_is_signed() {
         assert_eq!(
             kinds(r"'\xff'"),
-            vec![TokenKind::IntLit(-1), TokenKind::Eof]
+            vec![TokenKind::IntLit(-1, IntKind::I32), TokenKind::Eof]
         );
     }
 

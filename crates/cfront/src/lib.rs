@@ -10,8 +10,13 @@
 //!
 //! * Types: `void`, `char`, `short`, `int`, `long` (signed and unsigned),
 //!   pointers, fixed-size arrays, `struct`s (including self-referential via
-//!   pointers), enums (constants of type `int`), and function pointers with
-//!   full declarator syntax (`int (*f)(int)`, `int (*ops[4])(int,int)`).
+//!   pointers), enums (constants of type `int`), `typedef` names, and
+//!   function pointers with full declarator syntax (`int (*f)(int)`,
+//!   `int (*ops[4])(int,int)`), function definitions included
+//!   (`int (*pick(int k))(int) { ... }`).
+//! * Integer literals in decimal, hex and octal, with `u` and `l` suffixes,
+//!   typed by C's table for 32-bit `int` and 64-bit `long` (`0xFFFFFFFF`
+//!   is an `unsigned int`, `3L` a `long`).
 //! * Statements: blocks with C89-style leading declarations, `if`/`else`,
 //!   `while`, `do`/`while`, `for`, `switch` with fallthrough, `break`,
 //!   `continue`, `return`.
@@ -25,12 +30,12 @@
 //!
 //! ## Deliberate omissions
 //!
-//! No preprocessor (write constants with `enum`), no `typedef`, `goto`,
-//! `union`, bitfields, floating point, varargs, struct-by-value
-//! assignment/parameters/returns, or block-scoped struct definitions.
-//! Enum constants may not be shadowed by variables. All arithmetic is
-//! performed in 64 bits and truncated at casts, stores, and assignments to
-//! narrow variables.
+//! No preprocessor (write constants with `enum`), no `goto`, `union`,
+//! bitfields, floating point, varargs, struct-by-value
+//! assignment/parameters/returns, or block-scoped struct definitions or
+//! typedefs. Enum constants and typedef names may not be shadowed by
+//! variables. All arithmetic is performed in 64 bits and truncated at
+//! casts, stores, and assignments to narrow variables.
 //!
 //! ## Example
 //!

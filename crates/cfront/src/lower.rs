@@ -18,7 +18,7 @@ use crate::error::{CompileError, Result};
 use crate::parser::{const_eval, ParseContext};
 use crate::token::Span;
 use crate::types::{
-    arith_op, cmp_op, literal_kind, promote, usual_arith, CType, FuncType, IntKind, TypeTable,
+    arith_op, cmp_op, conditional_type, promote, usual_arith, CType, FuncType, IntKind, TypeTable,
 };
 
 /// Lowers a fully parsed program to an IL module.
@@ -987,9 +987,9 @@ impl<'t> Lowerer<'t> {
 
     fn lower_expr(&mut self, fc: &mut FuncCtx, e: &Expr) -> Result<RVal> {
         match &e.kind {
-            ExprKind::IntLit(v) => {
+            ExprKind::IntLit(v, k) => {
                 let reg = fc.fb.const_(*v);
-                Ok(RVal::new(reg, CType::Int(literal_kind(*v))))
+                Ok(RVal::new(reg, CType::Int(*k)))
             }
             ExprKind::StrLit(bytes) => {
                 let gid = self.intern_string(bytes);
@@ -1356,15 +1356,10 @@ impl<'t> Lowerer<'t> {
         }
         fc.fb.terminate(Terminator::Jump(join));
         fc.fb.switch_to(join);
-        // Result type: unify.
-        let ty = match (&tv.ty, &ev.ty) {
-            (CType::Void, _) | (_, CType::Void) => return Ok(RVal::void()),
-            (CType::Int(a), CType::Int(b)) => CType::Int(usual_arith(*a, *b)),
-            (CType::Ptr(_), _) => tv.ty.clone(),
-            (_, CType::Ptr(_)) => ev.ty.clone(),
-            _ => tv.ty.clone(),
-        };
-        Ok(RVal::new(result, ty))
+        Ok(match conditional_type(&tv.ty, &ev.ty) {
+            CType::Void => RVal::void(),
+            ty => RVal::new(result, ty),
+        })
     }
 
     fn lower_incdec(
@@ -1544,7 +1539,7 @@ impl<'t> Lowerer<'t> {
     /// are typed but never evaluated, per C semantics.
     fn infer_type(&mut self, fc: &FuncCtx, e: &Expr) -> Result<CType> {
         Ok(match &e.kind {
-            ExprKind::IntLit(v) => CType::Int(literal_kind(*v)),
+            ExprKind::IntLit(_, k) => CType::Int(*k),
             ExprKind::StrLit(bytes) => {
                 CType::Array(Box::new(CType::char()), bytes.len() as u64 + 1)
             }
@@ -1596,7 +1591,11 @@ impl<'t> Lowerer<'t> {
             }
             ExprKind::IncDec { target, .. } => self.infer_type(fc, target)?.decayed(),
             ExprKind::Assign { target, .. } => self.infer_type(fc, target)?.decayed(),
-            ExprKind::Conditional { then_e, .. } => self.infer_type(fc, then_e)?.decayed(),
+            ExprKind::Conditional { then_e, else_e, .. } => {
+                let then_t = self.infer_type(fc, then_e)?.decayed();
+                let else_t = self.infer_type(fc, else_e)?.decayed();
+                conditional_type(&then_t, &else_t)
+            }
             ExprKind::Call { callee, .. } => {
                 let t = self.infer_type(fc, callee)?.decayed();
                 match t {
@@ -1735,7 +1734,7 @@ fn collect_addr_taken_expr(e: &Expr, out: &mut HashSet<String>) {
             }
             collect_addr_taken_expr(operand, out);
         }
-        ExprKind::IntLit(_)
+        ExprKind::IntLit(..)
         | ExprKind::StrLit(_)
         | ExprKind::Ident(_)
         | ExprKind::SizeofType(_) => {}

@@ -11,8 +11,7 @@ use crate::ast::*;
 use crate::error::{CompileError, Result};
 use crate::token::{Keyword, Punct, Span, Token, TokenKind};
 use crate::types::{
-    arith_op, cmp_op, literal_kind, promote, usual_arith, CType, FuncType, IntKind, StructId,
-    TypeTable,
+    arith_op, cmp_op, promote, usual_arith, CType, FuncType, IntKind, StructId, TypeTable,
 };
 
 /// Accumulated parse state shared across the source files of one
@@ -57,10 +56,15 @@ struct Parser<'c, 't> {
     pos: usize,
 }
 
-/// One suffix of a direct declarator.
-enum DeclSuffix {
-    Array(u64),
-    Func(Vec<Param>),
+/// What one declarator declares.
+struct Declarator {
+    /// The declared name and its span; `None` for an abstract declarator.
+    name: Option<(String, Span)>,
+    /// The declared type.
+    ty: CType,
+    /// When `ty`'s outermost part is a function suffix of this declarator,
+    /// that suffix's named parameters: the ones a definition binds.
+    params: Option<Vec<Param>>,
 }
 
 impl<'c, 't> Parser<'c, 't> {
@@ -246,9 +250,8 @@ impl<'c, 't> Parser<'c, 't> {
         }
     }
 
-    /// Parses a declarator given the base type; returns the declared name
-    /// (absent for abstract declarators) and the full type.
-    fn parse_declarator(&mut self, base: CType) -> Result<(Option<String>, CType)> {
+    /// Parses a declarator given the base type.
+    fn parse_declarator(&mut self, base: CType) -> Result<Declarator> {
         let mut base = base;
         while self.eat_punct(Punct::Star) {
             base = base.ptr_to();
@@ -256,7 +259,19 @@ impl<'c, 't> Parser<'c, 't> {
         self.parse_direct_declarator(base)
     }
 
-    fn parse_direct_declarator(&mut self, base: CType) -> Result<(Option<String>, CType)> {
+    /// Parses a declarator that must declare a name, returning where it
+    /// starts, the name and the type; `what` names the declaration in the
+    /// error for a missing name.
+    fn parse_named_declarator(&mut self, base: CType, what: &str) -> Result<(Span, String, CType)> {
+        let span = self.span();
+        let d = self.parse_declarator(base)?;
+        match d.name {
+            Some((name, _)) => Ok((span, name, d.ty)),
+            None => Err(CompileError::new(span, format!("{what} needs a name"))),
+        }
+    }
+
+    fn parse_direct_declarator(&mut self, base: CType) -> Result<Declarator> {
         // Parenthesized declarator: `(` followed by `*`, `(`, or an
         // identifier. A `(` followed by a type or `)` is a function suffix
         // of an abstract declarator instead.
@@ -271,24 +286,29 @@ impl<'c, 't> Parser<'c, 't> {
         {
             let inner_start = self.pos;
             self.skip_balanced_parens()?;
-            let base = self.parse_declarator_suffixes(base)?;
+            let (outer, params) = self.parse_declarator_suffixes(base)?;
             let after_suffixes = self.pos;
             self.pos = inner_start;
             self.expect_punct(Punct::LParen)?;
-            let result = self.parse_declarator(base)?;
+            let mut d = self.parse_declarator(outer.clone())?;
             self.expect_punct(Punct::RParen)?;
             self.pos = after_suffixes;
-            return Ok(result);
+            // Parentheses around a bare name, as in `int (f)(int x)`, leave
+            // the suffixes after them outermost.
+            if d.ty == outer {
+                d.params = params;
+            }
+            return Ok(d);
         }
         let name = if let TokenKind::Ident(n) = self.peek() {
-            let n = n.clone();
+            let name = (n.clone(), self.span());
             self.pos += 1;
-            Some(n)
+            Some(name)
         } else {
             None
         };
-        let ty = self.parse_declarator_suffixes(base)?;
-        Ok((name, ty))
+        let (ty, params) = self.parse_declarator_suffixes(base)?;
+        Ok(Declarator { name, ty, params })
     }
 
     fn skip_balanced_parens(&mut self) -> Result<()> {
@@ -314,44 +334,41 @@ impl<'c, 't> Parser<'c, 't> {
         }
     }
 
-    /// Parses `[n]` and `(params)` suffixes and folds them (left suffix
-    /// outermost) onto `base`.
-    fn parse_declarator_suffixes(&mut self, base: CType) -> Result<CType> {
-        let mut suffixes = Vec::new();
-        loop {
-            if self.eat_punct(Punct::LBracket) {
-                // `[]` — size completed from the initializer by lowering.
-                if self.eat_punct(Punct::RBracket) {
-                    suffixes.push(DeclSuffix::Array(0));
-                    continue;
-                }
+    /// Parses `[n]` and `(params)` suffixes onto `base`, the leftmost
+    /// outermost. A leading function suffix also returns its parameters.
+    fn parse_declarator_suffixes(&mut self, base: CType) -> Result<(CType, Option<Vec<Param>>)> {
+        if self.eat_punct(Punct::LBracket) {
+            // `[]` — size completed from the initializer by lowering.
+            let n = if self.eat_punct(Punct::RBracket) {
+                0
+            } else {
                 let size_expr = self.parse_conditional()?;
                 let n = const_eval(&size_expr, &self.ctx.types)?;
                 if n < 0 {
                     return Err(CompileError::new(size_expr.span, "negative array size"));
                 }
                 self.expect_punct(Punct::RBracket)?;
-                suffixes.push(DeclSuffix::Array(n as u64));
-            } else if *self.peek() == TokenKind::Punct(Punct::LParen) {
-                self.pos += 1;
-                let params = self.parse_param_list()?;
-                self.expect_punct(Punct::RParen)?;
-                suffixes.push(DeclSuffix::Func(params));
-            } else {
-                break;
-            }
-        }
-        let mut ty = base;
-        for s in suffixes.into_iter().rev() {
-            ty = match s {
-                DeclSuffix::Array(n) => CType::Array(Box::new(ty), n),
-                DeclSuffix::Func(params) => CType::Func(Box::new(FuncType {
-                    ret: ty,
-                    params: params.into_iter().map(|p| p.ty).collect(),
-                })),
+                n as u64
             };
+            let (elem, _) = self.parse_declarator_suffixes(base)?;
+            Ok((CType::Array(Box::new(elem), n), None))
+        } else if self.eat_punct(Punct::LParen) {
+            let start = self.prev_span();
+            let params = self.parse_param_list()?;
+            self.expect_punct(Punct::RParen)?;
+            let (ret, _) = self.parse_declarator_suffixes(base)?;
+            if matches!(ret, CType::Array(..) | CType::Func(_)) {
+                let msg = format!("a function cannot return `{ret}`");
+                return Err(CompileError::new(start, msg));
+            }
+            let ty = CType::Func(Box::new(FuncType {
+                ret,
+                params: params.iter().map(|p| p.ty.clone()).collect(),
+            }));
+            Ok((ty, Some(params)))
+        } else {
+            Ok((base, None))
         }
-        Ok(ty)
     }
 
     /// Parses a parameter list body (after `(`, up to but not including
@@ -373,11 +390,10 @@ impl<'c, 't> Parser<'c, 't> {
                 return Err(self.err_here("expected parameter type"));
             }
             let base = self.parse_base_type()?;
-            let (name, ty) = self.parse_declarator(base)?;
-            let ty = ty.decayed();
+            let d = self.parse_declarator(base)?;
             params.push(Param {
-                name: name.unwrap_or_default(),
-                ty,
+                name: d.name.map(|(name, _)| name).unwrap_or_default(),
+                ty: d.ty.decayed(),
             });
             if !self.eat_punct(Punct::Comma) {
                 break;
@@ -390,22 +406,18 @@ impl<'c, 't> Parser<'c, 't> {
     /// casts and `sizeof`.
     fn parse_type_name(&mut self) -> Result<CType> {
         let base = self.parse_base_type()?;
-        let (name, ty) = self.parse_declarator(base)?;
-        if name.is_some() {
+        let d = self.parse_declarator(base)?;
+        if d.name.is_some() {
             return Err(self.err_here("type name must not declare an identifier"));
         }
-        Ok(ty)
+        Ok(d.ty)
     }
 
     // ----- top level --------------------------------------------------------
 
     fn parse_top_level(&mut self) -> Result<()> {
         while *self.peek() != TokenKind::Eof {
-            if self.looks_like_function_def() {
-                self.parse_function()?;
-            } else {
-                self.parse_top_item()?;
-            }
+            self.parse_top_item()?;
         }
         Ok(())
     }
@@ -444,43 +456,49 @@ impl<'c, 't> Parser<'c, 't> {
         }
 
         let decl_span = self.span();
-        let (name, ty) = self.parse_declarator(base.clone())?;
-        let Some(name) = name else {
+        let d = self.parse_declarator(base.clone())?;
+        let Some((name, name_span)) = d.name else {
             return Err(CompileError::new(decl_span, "declaration needs a name"));
         };
 
-        if let CType::Func(ft) = &ty {
+        if let CType::Func(ft) = d.ty {
             if is_extern {
                 self.expect_punct(Punct::Semi)?;
                 self.ctx.program.externs.push(ExternFuncDecl {
                     span: decl_span,
                     name,
-                    ret: ft.ret.clone(),
-                    params: ft.params.clone(),
+                    ret: ft.ret,
+                    params: ft.params,
                 });
                 return Ok(());
             }
-            if *self.peek() == TokenKind::Punct(Punct::LBrace) {
-                // A definition: re-parse the parameter names. The declarator
-                // kept only the types, so rewind is avoided by re-extracting
-                // names during `parse_declarator`; instead, we parse the
-                // parameter list again from the stored function type and the
-                // most recent parameter names.
-                return Err(CompileError::new(
-                    decl_span,
-                    "internal: function definitions are parsed by parse_function",
-                ));
+            if *self.peek() != TokenKind::Punct(Punct::LBrace) {
+                // A prototype; definitions are collected in a pre-pass, so
+                // the prototype itself carries no information.
+                return self.expect_punct(Punct::Semi);
             }
-            // A prototype; definitions are collected in a pre-pass, so the
-            // prototype itself carries no information. Consume and ignore.
-            self.expect_punct(Punct::Semi)?;
+            // A definition binds the parameters its own declarator names,
+            // so a function type taken from a typedef cannot define one.
+            let Some(params) = d.params else {
+                return Err(CompileError::new(
+                    name_span,
+                    format!("definition of `{name}` needs a parameter list"),
+                ));
+            };
+            let body = self.parse_block()?;
+            self.ctx.program.functions.push(FunctionDef {
+                span: name_span,
+                name,
+                ret: ft.ret,
+                params,
+                body,
+            });
             return Ok(());
         }
 
         // Global variable(s).
-        let mut pending = vec![(decl_span, name, ty)];
+        let (mut span, mut name, mut ty) = (decl_span, name, d.ty);
         loop {
-            let (span, name, ty) = pending.pop().expect("one pending declarator");
             let init = if self.eat_punct(Punct::Assign) {
                 Some(self.parse_initializer()?)
             } else {
@@ -492,17 +510,10 @@ impl<'c, 't> Parser<'c, 't> {
                 ty,
                 init,
             });
-            if self.eat_punct(Punct::Comma) {
-                let span = self.span();
-                let (name, ty) = self.parse_declarator(base.clone())?;
-                let Some(name) = name else {
-                    return Err(CompileError::new(span, "declaration needs a name"));
-                };
-                pending.push((span, name, ty));
-                continue;
+            if !self.eat_punct(Punct::Comma) {
+                return self.expect_punct(Punct::Semi);
             }
-            self.expect_punct(Punct::Semi)?;
-            return Ok(());
+            (span, name, ty) = self.parse_named_declarator(base.clone(), "declaration")?;
         }
     }
 
@@ -512,11 +523,7 @@ impl<'c, 't> Parser<'c, 't> {
             return Err(self.err_here("typedef needs a type"));
         }
         let base = self.parse_base_type()?;
-        let span = self.span();
-        let (name, ty) = self.parse_declarator(base)?;
-        let Some(name) = name else {
-            return Err(CompileError::new(span, "typedef needs a name"));
-        };
+        let (span, name, ty) = self.parse_named_declarator(base, "typedef")?;
         self.expect_punct(Punct::Semi)?;
         if self.ctx.typedefs.insert(name.clone(), ty).is_some() {
             return Err(CompileError::new(
@@ -548,11 +555,7 @@ impl<'c, 't> Parser<'c, 't> {
             }
             let base = self.parse_base_type()?;
             loop {
-                let mspan = self.span();
-                let (mname, mty) = self.parse_declarator(base.clone())?;
-                let Some(mname) = mname else {
-                    return Err(CompileError::new(mspan, "struct member needs a name"));
-                };
+                let (_, mname, mty) = self.parse_named_declarator(base.clone(), "struct member")?;
                 members.push((mname, mty));
                 if !self.eat_punct(Punct::Comma) {
                     break;
@@ -625,102 +628,6 @@ impl<'c, 't> Parser<'c, 't> {
 
     // ----- function bodies --------------------------------------------------
 
-    /// Parses a full function definition starting at the specifiers. Used
-    /// by [`parse_program_items`] when lookahead sees `type declarator {`.
-    fn parse_function(&mut self) -> Result<()> {
-        let _ = self.eat_kw(Keyword::Static);
-        let base = self.parse_base_type()?;
-        let mut ret = base;
-        while self.eat_punct(Punct::Star) {
-            ret = ret.ptr_to();
-        }
-        let (name, span) = self.expect_ident()?;
-        self.expect_punct(Punct::LParen)?;
-        let params = self.parse_param_list()?;
-        self.expect_punct(Punct::RParen)?;
-        let body = self.parse_block()?;
-        self.ctx.program.functions.push(FunctionDef {
-            span,
-            name,
-            ret,
-            params,
-            body,
-        });
-        Ok(())
-    }
-
-    /// Decides whether the upcoming top-level item is a function
-    /// *definition* (as opposed to a global/prototype): scan past the
-    /// declarator for `(`...`)` followed by `{`.
-    fn looks_like_function_def(&self) -> bool {
-        // Pattern: [static] specifiers '*'* IDENT '(' ... ')' '{'
-        let mut i = 0;
-        if *self.peek_at(i) == TokenKind::Kw(Keyword::Typedef) {
-            return false;
-        }
-        if *self.peek_at(i) == TokenKind::Kw(Keyword::Static) {
-            i += 1;
-        }
-        if !self.is_type_start_at(i) {
-            return false;
-        }
-        // A typedef-named specifier is a single token.
-        if matches!(self.peek_at(i), TokenKind::Ident(_)) {
-            i += 1;
-        }
-        // Skip specifier words.
-        while matches!(
-            self.peek_at(i),
-            TokenKind::Kw(
-                Keyword::Void
-                    | Keyword::Char
-                    | Keyword::Short
-                    | Keyword::Int
-                    | Keyword::Long
-                    | Keyword::Signed
-                    | Keyword::Unsigned
-            )
-        ) {
-            i += 1;
-        }
-        if *self.peek_at(i) == TokenKind::Kw(Keyword::Struct)
-            || *self.peek_at(i) == TokenKind::Kw(Keyword::Enum)
-        {
-            i += 1;
-            if matches!(self.peek_at(i), TokenKind::Ident(_)) {
-                i += 1;
-            }
-        }
-        while *self.peek_at(i) == TokenKind::Punct(Punct::Star) {
-            i += 1;
-        }
-        if !matches!(self.peek_at(i), TokenKind::Ident(_)) {
-            return false;
-        }
-        i += 1;
-        if *self.peek_at(i) != TokenKind::Punct(Punct::LParen) {
-            return false;
-        }
-        // Find the matching `)`.
-        let mut depth = 0usize;
-        loop {
-            match self.peek_at(i) {
-                TokenKind::Punct(Punct::LParen) => depth += 1,
-                TokenKind::Punct(Punct::RParen) => {
-                    depth -= 1;
-                    if depth == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                TokenKind::Eof => return false,
-                _ => {}
-            }
-            i += 1;
-        }
-        *self.peek_at(i) == TokenKind::Punct(Punct::LBrace)
-    }
-
     fn parse_block(&mut self) -> Result<Stmt> {
         let span = self.span();
         self.expect_punct(Punct::LBrace)?;
@@ -729,11 +636,8 @@ impl<'c, 't> Parser<'c, 't> {
         while self.is_type_start() {
             let base = self.parse_base_type()?;
             loop {
-                let dspan = self.span();
-                let (name, ty) = self.parse_declarator(base.clone())?;
-                let Some(name) = name else {
-                    return Err(CompileError::new(dspan, "local declaration needs a name"));
-                };
+                let (dspan, name, ty) =
+                    self.parse_named_declarator(base.clone(), "local declaration")?;
                 let init = if self.eat_punct(Punct::Assign) {
                     Some(self.parse_initializer()?)
                 } else {
@@ -1228,11 +1132,11 @@ impl<'c, 't> Parser<'c, 't> {
     fn parse_primary(&mut self) -> Result<Expr> {
         let span = self.span();
         match self.peek().clone() {
-            TokenKind::IntLit(v) => {
+            TokenKind::IntLit(v, k) => {
                 self.pos += 1;
                 Ok(Expr {
                     span,
-                    kind: ExprKind::IntLit(v),
+                    kind: ExprKind::IntLit(v, k),
                 })
             }
             TokenKind::StrLit(bytes) => {
@@ -1245,9 +1149,15 @@ impl<'c, 't> Parser<'c, 't> {
             TokenKind::Ident(name) => {
                 self.pos += 1;
                 if let Some(&v) = self.ctx.enum_consts.get(&name) {
+                    // An enum constant is an `int`, or a `long` if it needs one.
+                    let k = if i32::try_from(v).is_ok() {
+                        IntKind::I32
+                    } else {
+                        IntKind::I64
+                    };
                     Ok(Expr {
                         span,
-                        kind: ExprKind::IntLit(v),
+                        kind: ExprKind::IntLit(v, k),
                     })
                 } else {
                     Ok(Expr {
@@ -1288,7 +1198,7 @@ fn const_eval_typed(e: &Expr, types: &TypeTable, evaluated: bool) -> Result<(i64
     let fail = |msg: &str| Err(CompileError::new(e.span, msg.to_owned()));
     let eval = |e| const_eval_typed(e, types, evaluated);
     match &e.kind {
-        ExprKind::IntLit(v) => Ok((*v, literal_kind(*v))),
+        ExprKind::IntLit(v, k) => Ok((*v, *k)),
         ExprKind::Unary { op, operand } => {
             let (v, k) = eval(operand)?;
             Ok(match op {
@@ -1485,7 +1395,7 @@ mod tests {
         let StmtKind::Return(Some(e)) = &stmts[0].kind else {
             panic!()
         };
-        assert_eq!(e.kind, ExprKind::IntLit(6));
+        assert_eq!(e.kind, ExprKind::IntLit(6, IntKind::I32));
     }
 
     #[test]
@@ -1684,6 +1594,80 @@ mod tests {
             panic!()
         };
         assert_eq!(*op, BinaryOp::LogOr);
+    }
+
+    #[test]
+    fn parses_definition_returning_a_function_pointer() {
+        let ctx = parse_ok("int (*pick(int k))(int j) { return 0; }");
+        let f = &ctx.program.functions[0];
+        assert_eq!(f.name, "pick");
+        assert_eq!(
+            f.params,
+            vec![Param {
+                name: "k".into(),
+                ty: CType::int()
+            }]
+        );
+        let CType::Ptr(inner) = &f.ret else {
+            panic!("expected a pointer return")
+        };
+        assert!(matches!(inner.as_ref(), CType::Func(_)));
+    }
+
+    #[test]
+    fn parses_definition_with_a_parenthesized_name() {
+        let ctx = parse_ok("int (twice)(int x) { return x + x; } int ((id))(int y) { return y; }");
+        let names: Vec<_> = ctx
+            .program
+            .functions
+            .iter()
+            .map(|f| &f.params[0].name)
+            .collect();
+        assert_eq!(names, ["x", "y"]);
+        assert_eq!(ctx.program.functions[0].ret, CType::int());
+    }
+
+    #[test]
+    fn parses_static_definition_with_a_typedef_return() {
+        let ctx = parse_ok("typedef unsigned long word; static word *at(word *p) { return p; }");
+        let f = &ctx.program.functions[0];
+        assert_eq!(f.ret, CType::Int(IntKind::U64).ptr_to());
+        assert_eq!(f.params[0].name, "p");
+    }
+
+    #[test]
+    fn parses_definition_after_a_declaration_list() {
+        let ctx = parse_ok("int a, b = 2; int f(int n) { return n + b; }");
+        assert_eq!(ctx.program.globals.len(), 2);
+        assert_eq!(ctx.program.functions[0].params[0].name, "n");
+    }
+
+    #[test]
+    fn rejects_definitions_a_declarator_cannot_make() {
+        for (src, want) in [
+            (
+                "extern int g(int x) { return x; }",
+                "expected `;`, found `{`",
+            ),
+            (
+                "typedef int fn_t(int); fn_t k { return 1; }",
+                "definition of `k` needs a parameter list",
+            ),
+            ("int f()[3] { }", "a function cannot return `int[3]`"),
+            ("int f()() { }", "a function cannot return `int()`"),
+        ] {
+            assert_eq!(parse_err(src).message, want, "`{src}`");
+        }
+    }
+
+    #[test]
+    fn a_redefined_function_is_reported_at_its_name() {
+        let sources = [crate::Source::new(
+            "t.c",
+            "int *f() { return 0; }\nint *f() { return 0; }",
+        )];
+        let e = crate::compile(&sources).expect_err("redefinition");
+        assert_eq!(e.render(&sources), "t.c:2:6: function `f` redefined");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::types::IntKind;
+
 /// A half-open byte range into one source file, used for diagnostics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Span {
@@ -263,8 +265,8 @@ pub enum TokenKind {
     /// A keyword.
     Kw(Keyword),
     /// An integer literal (decimal, hex `0x`, octal `0`, or char literal),
-    /// already folded to its value.
-    IntLit(i64),
+    /// already folded to its value, with the kind C gives it.
+    IntLit(i64, IntKind),
     /// A string literal, with escapes resolved (no trailing NUL; the
     /// compiler appends one when materializing it).
     StrLit(Vec<u8>),
@@ -279,7 +281,7 @@ impl fmt::Display for TokenKind {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
             TokenKind::Kw(k) => write!(f, "keyword `{}`", k.as_str()),
-            TokenKind::IntLit(v) => write!(f, "integer literal `{v}`"),
+            TokenKind::IntLit(v, _) => write!(f, "integer literal `{v}`"),
             TokenKind::StrLit(_) => write!(f, "string literal"),
             TokenKind::Punct(p) => write!(f, "`{}`", p.as_str()),
             TokenKind::Eof => write!(f, "end of input"),

@@ -353,6 +353,18 @@ pub fn usual_arith(a: IntKind, b: IntKind) -> IntKind {
     }
 }
 
+/// The type of `c ? a : b` from its branches' decayed types: `void` if
+/// either is, the usual arithmetic conversions for two integers, and
+/// otherwise the pointer side (the `a` side if both or neither are).
+pub(crate) fn conditional_type(a: &CType, b: &CType) -> CType {
+    match (a, b) {
+        (CType::Void, _) | (_, CType::Void) => CType::Void,
+        (CType::Int(x), CType::Int(y)) => CType::Int(usual_arith(*x, *y)),
+        (_, CType::Ptr(_)) if !a.is_pointer() => b.clone(),
+        _ => a.clone(),
+    }
+}
+
 /// Integer promotion: anything narrower than `int` becomes `int`.
 pub fn promote(k: IntKind) -> IntKind {
     if k.size() < 4 {
@@ -362,13 +374,22 @@ pub fn promote(k: IntKind) -> IntKind {
     }
 }
 
-/// The kind of an integer literal: `int` when the value fits, else `long`.
-pub(crate) fn literal_kind(v: i64) -> IntKind {
-    if i32::try_from(v).is_ok() {
-        IntKind::I32
-    } else {
-        IntKind::I64
-    }
+/// The kind C gives an integer literal of value `v` in this data model
+/// (32-bit `int`, 64-bit `long`): the first of `int`, `unsigned int`,
+/// `long` and `unsigned long` that holds `v`. A `u` suffix skips the
+/// signed kinds, an `l` suffix the 32-bit ones, and an unsuffixed decimal
+/// literal skips `unsigned int`.
+pub(crate) fn literal_kind(v: u64, decimal: bool, unsigned: bool, long: bool) -> IntKind {
+    let skipped = |k: IntKind| {
+        (unsigned && k.is_signed())
+            || (long && k.size() == 4)
+            || (decimal && !unsigned && k == IntKind::U32)
+    };
+    let holds = |k: IntKind| u128::from(v) >> (k.size() * 8 - u64::from(k.is_signed())) == 0;
+    [IntKind::I32, IntKind::U32, IntKind::I64, IntKind::U64]
+        .into_iter()
+        .find(|&k| !skipped(k) && holds(k))
+        .unwrap_or(IntKind::U64)
 }
 
 /// The IL comparison a C comparison lowers to, unsigned when its operands

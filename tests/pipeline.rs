@@ -248,6 +248,7 @@ fn global_initializers_compute_what_the_code_computes() {
         "sizeof(4294967296)",
         "sizeof((char)1)",
         "sizeof(1/0)",
+        "sizeof(1 ? (char)1 : 2)",
     ];
     let mut src = String::new();
     for (i, e) in exprs.iter().enumerate() {
