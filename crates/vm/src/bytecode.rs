@@ -9,12 +9,13 @@
 //! [`crate::exec`] touches exactly one array per step.
 //!
 //! Lowering also performs **superinstruction fusion** for the hottest
-//! adjacent pairs ("dyads") in profiled runs: compare-and-branch (every
-//! loop back edge), take-slot-address-and-load / -store (every access
-//! to a memory-resident local in cfront-style code), and
-//! load-immediate-into-binop. Fused ops execute both halves in one
-//! dispatch but still count two IL instructions, check the step limit
-//! between the halves, and issue both simulated icache fetches, so
+//! adjacent pairs ("dyads") and triples in profiled runs:
+//! compare-and-branch (every loop back edge), load-immediate-into-
+//! binop or -compare, global reads, array-subscript loads, and the copy
+//! before a jump. Each fused op runs at least 3.9% of the paper
+//! programs' dispatches (DESIGN.md §12). Fused ops execute every slot in
+//! one dispatch but still count one IL instruction per slot, check the
+//! step limit between slots, and issue every simulated icache fetch, so
 //! profiles and traps stay bit-identical to the interpreter's.
 
 use impact_il::{BinOp, Callee, CmpOp, Inst, Module, Terminator, UnOp, Width};
@@ -136,21 +137,6 @@ pub(crate) enum Op {
         imm: i64,
         tmp: u32,
     },
-    /// Superinstruction: `AddrOfSlot tmp` + `Load dst, [tmp]`.
-    SlotLoad {
-        dst: u32,
-        off: u64,
-        tmp: u32,
-        width: Width,
-        signed: bool,
-    },
-    /// Superinstruction: `AddrOfSlot tmp` + `Store [tmp], src`.
-    SlotStore {
-        off: u64,
-        src: u32,
-        tmp: u32,
-        width: Width,
-    },
     /// Superinstruction: `Mov dst, src` + the block's own `Jump`
     /// (cfront-style code copies a value out right before every back
     /// edge and join).
@@ -218,41 +204,6 @@ pub(crate) enum Op {
         dst: u32,
         width: Width,
         signed: bool,
-    },
-    /// Superinstruction: `Mov dst, src` + `Store [addr], dst`.
-    MovStore {
-        dst: u32,
-        src: u32,
-        addr: u32,
-        width: Width,
-    },
-    /// Three-slot superinstruction: `AddrOfSlot tmp` + `Load dst,
-    /// [tmp]` + the block's own `Branch` on `dst` — `if (local)`.
-    SlotLoadBranch {
-        dst: u32,
-        off: u64,
-        tmp: u32,
-        width: Width,
-        signed: bool,
-        then_to: u32,
-        else_to: u32,
-        then_flat: u32,
-        else_flat: u32,
-        here: u32,
-    },
-    /// Three-slot superinstruction: `Const tmp, addr` + `Load dst,
-    /// [tmp]` + the block's own `Branch` on `dst` — `if (global)`.
-    ConstLoadBranch {
-        dst: u32,
-        value: i64,
-        tmp: u32,
-        width: Width,
-        signed: bool,
-        then_to: u32,
-        else_to: u32,
-        then_flat: u32,
-        else_flat: u32,
-        here: u32,
     },
 }
 
@@ -329,85 +280,36 @@ pub(crate) fn lower(module: &Module, mem: &Memory) -> Program {
                 let inst = &block.insts[i];
                 let next = block.insts.get(i + 1);
                 // Three-slot fusion across the terminator boundary:
-                // const + compare + branch, or take-address + load +
-                // branch-on-the-loaded-value.
-                if i + 2 == n {
-                    if let Terminator::Branch {
+                // const + compare + branch.
+                if let (
+                    Some((t, imm)),
+                    Some(Inst::Cmp { op, dst, lhs, rhs }),
+                    Terminator::Branch {
                         cond,
                         then_to,
                         else_to,
-                    } = &block.term
-                    {
-                        let tails = (
-                            then_to.0,
-                            else_to.0,
-                            flat(then_to.0),
-                            flat(else_to.0),
-                            flat(bi as u32),
-                        );
-                        let triple: Option<Op> = match next {
-                            Some(Inst::Cmp { op, dst, lhs, rhs }) if cond == dst => {
-                                const_value(inst, mem).and_then(|(t, imm)| {
-                                    (rhs.0 == t).then_some(Op::ConstCmpBranch {
-                                        op: *op,
-                                        dst: dst.0,
-                                        lhs: lhs.0,
-                                        imm,
-                                        tmp: t,
-                                        then_to: tails.0,
-                                        else_to: tails.1,
-                                        then_flat: tails.2,
-                                        else_flat: tails.3,
-                                        here: tails.4,
-                                    })
-                                })
-                            }
-                            Some(Inst::Load {
-                                dst,
-                                addr,
-                                width,
-                                signed,
-                            }) if cond == dst => match inst {
-                                Inst::AddrOfSlot { dst: t, slot } if addr == t => {
-                                    Some(Op::SlotLoadBranch {
-                                        dst: dst.0,
-                                        off: slot_offsets[slot.index()],
-                                        tmp: t.0,
-                                        width: *width,
-                                        signed: *signed,
-                                        then_to: tails.0,
-                                        else_to: tails.1,
-                                        then_flat: tails.2,
-                                        else_flat: tails.3,
-                                        here: tails.4,
-                                    })
-                                }
-                                inst => const_value(inst, mem).and_then(|(t, value)| {
-                                    (addr.0 == t).then_some(Op::ConstLoadBranch {
-                                        dst: dst.0,
-                                        value,
-                                        tmp: t,
-                                        width: *width,
-                                        signed: *signed,
-                                        then_to: tails.0,
-                                        else_to: tails.1,
-                                        then_flat: tails.2,
-                                        else_flat: tails.3,
-                                        here: tails.4,
-                                    })
-                                }),
-                            },
-                            _ => None,
-                        };
-                        if let Some(op) = triple {
-                            fixups.push(ops.len());
-                            ops.push(op);
-                            addrs.push(slot_addr);
-                            slot_addr += 12;
-                            i += 2;
-                            term_fused = true;
-                            continue;
-                        }
+                    },
+                ) = (const_value(inst, mem), next, &block.term)
+                {
+                    if i + 2 == n && cond == dst && rhs.0 == t {
+                        fixups.push(ops.len());
+                        ops.push(Op::ConstCmpBranch {
+                            op: *op,
+                            dst: dst.0,
+                            lhs: lhs.0,
+                            imm,
+                            tmp: t,
+                            then_to: then_to.0,
+                            else_to: else_to.0,
+                            then_flat: flat(then_to.0),
+                            else_flat: flat(else_to.0),
+                            here: flat(bi as u32),
+                        });
+                        addrs.push(slot_addr);
+                        slot_addr += 12;
+                        i += 2;
+                        term_fused = true;
+                        continue;
                     }
                 }
                 // Three-slot fusion inside the block: two consts
@@ -436,31 +338,6 @@ pub(crate) fn lower(module: &Module, mem: &Memory) -> Program {
                 // Fusion candidates, most specific first. Every fused
                 // op consumes two IL slots.
                 let fused: Option<Op> = match (inst, next) {
-                    (
-                        Inst::AddrOfSlot { dst: t, slot },
-                        Some(Inst::Load {
-                            dst,
-                            addr,
-                            width,
-                            signed,
-                        }),
-                    ) if addr == t => Some(Op::SlotLoad {
-                        dst: dst.0,
-                        off: slot_offsets[slot.index()],
-                        tmp: t.0,
-                        width: *width,
-                        signed: *signed,
-                    }),
-                    (Inst::AddrOfSlot { dst: t, slot }, Some(Inst::Store { addr, src, width }))
-                        if addr == t =>
-                    {
-                        Some(Op::SlotStore {
-                            off: slot_offsets[slot.index()],
-                            src: src.0,
-                            tmp: t.0,
-                            width: *width,
-                        })
-                    }
                     (inst, Some(Inst::Bin { op, dst, lhs, rhs })) => const_value(inst, mem)
                         .and_then(|(t, imm)| {
                             (rhs.0 == t).then_some(Op::ConstBin {
@@ -503,15 +380,6 @@ pub(crate) fn lower(module: &Module, mem: &Memory) -> Program {
                         width: *width,
                         signed: *signed,
                     }),
-                    (inst, Some(Inst::Store { addr, src, width })) => match inst {
-                        Inst::Mov { dst, src: msrc } if src == dst => Some(Op::MovStore {
-                            dst: dst.0,
-                            src: msrc.0,
-                            addr: addr.0,
-                            width: *width,
-                        }),
-                        _ => None,
-                    },
                     (
                         inst,
                         Some(Inst::Load {
@@ -732,12 +600,6 @@ pub(crate) fn lower(module: &Module, mem: &Memory) -> Program {
                     then_to, else_to, ..
                 }
                 | Op::ConstCmpBranch {
-                    then_to, else_to, ..
-                }
-                | Op::SlotLoadBranch {
-                    then_to, else_to, ..
-                }
-                | Op::ConstLoadBranch {
                     then_to, else_to, ..
                 } => {
                     *then_to = block_pc[*then_to as usize];

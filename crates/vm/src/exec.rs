@@ -482,35 +482,6 @@ pub(crate) fn run(
                         pc += 1;
                         steps += 1;
                     }
-                    Op::SlotLoad {
-                        dst,
-                        off,
-                        tmp,
-                        width,
-                        signed,
-                    } => {
-                        let a = sp + off;
-                        regs[base + *tmp as usize] = a as i64;
-                        fused_next_slot!($icache, 4);
-                        regs[base + *dst as usize] =
-                            mem.load(a, *width, *signed, &module.functions[cur as usize].name)?;
-                        pc += 1;
-                        steps += 1;
-                    }
-                    Op::SlotStore {
-                        off,
-                        src,
-                        tmp,
-                        width,
-                    } => {
-                        let a = sp + off;
-                        regs[base + *tmp as usize] = a as i64;
-                        fused_next_slot!($icache, 4);
-                        let v = regs[base + *src as usize];
-                        mem.store(a, v, *width, &module.functions[cur as usize].name)?;
-                        pc += 1;
-                        steps += 1;
-                    }
                     Op::MovJump { dst, src, to, flat } => {
                         regs[base + *dst as usize] = regs[base + *src as usize];
                         fused_next_slot!($icache, 4);
@@ -621,83 +592,6 @@ pub(crate) fn run(
                         )?;
                         pc += 1;
                         steps += 1;
-                    }
-                    Op::MovStore {
-                        dst,
-                        src,
-                        addr,
-                        width,
-                    } => {
-                        let v = regs[base + *src as usize];
-                        regs[base + *dst as usize] = v;
-                        fused_next_slot!($icache, 4);
-                        let a = regs[base + *addr as usize] as u64;
-                        mem.store(a, v, *width, &module.functions[cur as usize].name)?;
-                        pc += 1;
-                        steps += 1;
-                    }
-                    Op::SlotLoadBranch {
-                        dst,
-                        off,
-                        tmp,
-                        width,
-                        signed,
-                        then_to,
-                        else_to,
-                        then_flat,
-                        else_flat,
-                        here,
-                    } => {
-                        let a = sp + off;
-                        regs[base + *tmp as usize] = a as i64;
-                        fused_next_slot!($icache, 4);
-                        let v =
-                            mem.load(a, *width, *signed, &module.functions[cur as usize].name)?;
-                        regs[base + *dst as usize] = v;
-                        fused_next_slot!($icache, 8);
-                        steps += 1;
-                        counters.control_transfers += 1;
-                        if v != 0 {
-                            counters.branch_taken[*here as usize] += 1;
-                            counters.block_exec[*then_flat as usize] += 1;
-                            pc = *then_to as usize;
-                        } else {
-                            counters.block_exec[*else_flat as usize] += 1;
-                            pc = *else_to as usize;
-                        }
-                    }
-                    Op::ConstLoadBranch {
-                        dst,
-                        value,
-                        tmp,
-                        width,
-                        signed,
-                        then_to,
-                        else_to,
-                        then_flat,
-                        else_flat,
-                        here,
-                    } => {
-                        regs[base + *tmp as usize] = *value;
-                        fused_next_slot!($icache, 4);
-                        let v = mem.load(
-                            *value as u64,
-                            *width,
-                            *signed,
-                            &module.functions[cur as usize].name,
-                        )?;
-                        regs[base + *dst as usize] = v;
-                        fused_next_slot!($icache, 8);
-                        steps += 1;
-                        counters.control_transfers += 1;
-                        if v != 0 {
-                            counters.branch_taken[*here as usize] += 1;
-                            counters.block_exec[*then_flat as usize] += 1;
-                            pc = *then_to as usize;
-                        } else {
-                            counters.block_exec[*else_flat as usize] += 1;
-                            pc = *else_to as usize;
-                        }
                     }
                 }
             }
