@@ -162,17 +162,17 @@ impl<'t> Lowerer<'t> {
             }
         }
         for x in &program.externs {
-            if self.funcs.contains_key(&x.name) {
-                return self.err(x.span, format!("`{}` is both extern and defined", x.name));
-            }
             let ty = FuncType {
                 ret: x.ret.clone(),
                 params: x.params.clone(),
             };
-            // Identical re-declarations are fine (each source file declares
-            // the externs it uses); conflicting ones are not.
-            if let Some(existing) = self.externs.get(&x.name) {
-                if existing.ty != ty {
+            // An `extern` prototype of a defined function declares that
+            // function. Identical re-declarations are fine (each source
+            // file declares the externs it uses); conflicting ones are not.
+            let known = self.funcs.get(&x.name).map(|f| &f.ty);
+            let known = known.or_else(|| self.externs.get(&x.name).map(|e| &e.ty));
+            if let Some(existing) = known {
+                if *existing != ty {
                     return self.err(
                         x.span,
                         format!("extern `{}` redeclared with a different type", x.name),
@@ -1851,6 +1851,18 @@ mod tests {
         assert!(text.contains(":__fgetc("), "got:\n{text}");
         assert!(text.contains(":id("), "got:\n{text}");
         assert!(text.contains(" *r"), "got:\n{text}"); // indirect
+    }
+
+    #[test]
+    fn an_extern_prototype_of_a_defined_function_declares_it() {
+        let m = compile_one(
+            "extern int g(int);\n\
+             int main() { return g(3); }\n\
+             int g(int x) { return x + 39; }",
+        );
+        assert!(m.externs.is_empty());
+        let e = compile_fail("extern long g(int); int g(int x) { return x; }");
+        assert_eq!(e.message, "extern `g` redeclared with a different type");
     }
 
     #[test]

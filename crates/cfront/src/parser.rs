@@ -462,20 +462,19 @@ impl<'c, 't> Parser<'c, 't> {
         };
 
         if let CType::Func(ft) = d.ty {
-            if is_extern {
-                self.expect_punct(Punct::Semi)?;
-                self.ctx.program.externs.push(ExternFuncDecl {
-                    span: decl_span,
-                    name,
-                    ret: ft.ret,
-                    params: ft.params,
-                });
-                return Ok(());
-            }
             if *self.peek() != TokenKind::Punct(Punct::LBrace) {
-                // A prototype; definitions are collected in a pre-pass, so
-                // the prototype itself carries no information.
-                return self.expect_punct(Punct::Semi);
+                // A prototype. Definitions are collected in a pre-pass, so
+                // only an `extern` one, which may name a builtin, is kept.
+                self.expect_punct(Punct::Semi)?;
+                if is_extern {
+                    self.ctx.program.externs.push(ExternFuncDecl {
+                        span: decl_span,
+                        name,
+                        ret: ft.ret,
+                        params: ft.params,
+                    });
+                }
+                return Ok(());
             }
             // A definition binds the parameters its own declarator names,
             // so a function type taken from a typedef cannot define one.
@@ -1643,12 +1642,16 @@ mod tests {
     }
 
     #[test]
+    fn parses_extern_definition() {
+        let ctx = parse_ok("extern int g(int x) { return x; }");
+        assert!(ctx.program.externs.is_empty());
+        assert_eq!(ctx.program.functions[0].name, "g");
+        assert_eq!(ctx.program.functions[0].params[0].name, "x");
+    }
+
+    #[test]
     fn rejects_definitions_a_declarator_cannot_make() {
         for (src, want) in [
-            (
-                "extern int g(int x) { return x; }",
-                "expected `;`, found `{`",
-            ),
             (
                 "typedef int fn_t(int); fn_t k { return 1; }",
                 "definition of `k` needs a parameter list",
