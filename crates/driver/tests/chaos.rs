@@ -12,20 +12,21 @@
 
 use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 mod daemon;
 
 use daemon::{
-    free_port, impactc, sig, spawn_daemon, stop_and_collect, tmp_dir, write_hot_c, RunResult, BIN,
+    free_port, impactc, sig, spawn_daemon, stop_and_collect, tmp_dir, write_hot_c, Daemon,
+    RunResult, BIN,
 };
 
 /// Hard-kills the daemon (no drain, no cleanup) — the crash half of the
 /// crash-safe cache lifecycle.
-fn kill9_and_reap(mut child: Child, sock: &Path) {
-    sig(&child, "-KILL");
-    let _ = child.wait();
+fn kill9_and_reap(daemon: Daemon, sock: &Path) {
+    sig(&daemon, "-KILL");
+    let _ = daemon.take().wait();
     // A killed daemon leaves its socket behind; remove it so the next
     // daemon's bind (and our bind-wait) starts clean.
     let _ = std::fs::remove_file(sock);

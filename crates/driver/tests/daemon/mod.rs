@@ -1,6 +1,7 @@
 //! Helpers shared by the daemon matrices (`serve.rs`, `chaos.rs`):
 //! spawning the real binary, starting a daemon and waiting for its
-//! socket, and stopping it through the graceful drain.
+//! socket, and stopping it through the graceful drain or, when a test
+//! panics first, through the guard's SIGKILL.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -49,19 +50,51 @@ pub fn write_hot_c(dir: &Path) -> String {
     p.to_str().unwrap().to_string()
 }
 
+/// A running `impactc serve` daemon. Dropping the guard SIGKILLs and
+/// reaps the process, so a test that panics before it stops its daemon
+/// leaves none running; [`stop_and_collect`] and [`Daemon::take`] move
+/// the process out of the guard first.
+pub struct Daemon(Option<Child>);
+
+impl Daemon {
+    /// Starts the daemon without waiting for it to bind.
+    pub fn start(sock: &Path, extra: &[&str]) -> Daemon {
+        let child = Command::new(BIN)
+            .arg("serve")
+            .arg(sock)
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn serve daemon");
+        Daemon(Some(child))
+    }
+
+    pub fn id(&self) -> u32 {
+        self.0.as_ref().expect("daemon in its guard").id()
+    }
+
+    /// The process, out of the guard: the caller now reaps it.
+    pub fn take(mut self) -> Child {
+        self.0.take().expect("daemon in its guard")
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(child) = &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawns the daemon and returns as soon as its socket file exists. The
 /// daemon renames the socket into place once it listens, so the file is
 /// the readiness signal: the wait spins rather than sleeps, and a client
 /// may connect with no retry the moment it returns.
-pub fn spawn_daemon(sock: &Path, extra: &[&str]) -> Child {
-    let child = Command::new(BIN)
-        .arg("serve")
-        .arg(sock)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn serve daemon");
+pub fn spawn_daemon(sock: &Path, extra: &[&str]) -> Daemon {
+    let daemon = Daemon::start(sock, extra);
     let deadline = Instant::now() + Duration::from_secs(20);
     while !sock.exists() {
         assert!(
@@ -71,13 +104,13 @@ pub fn spawn_daemon(sock: &Path, extra: &[&str]) -> Child {
         );
         std::thread::yield_now();
     }
-    child
+    daemon
 }
 
-/// Sends `sig` (e.g. `-TERM`, `-KILL`) to the process.
-pub fn sig(child: &Child, sig: &str) {
+/// Sends `sig` (e.g. `-TERM`, `-KILL`) to the daemon.
+pub fn sig(daemon: &Daemon, sig: &str) {
     let ok = Command::new("kill")
-        .args([sig, &child.id().to_string()])
+        .args([sig, &daemon.id().to_string()])
         .status()
         .expect("run kill")
         .success();
@@ -86,17 +119,22 @@ pub fn sig(child: &Child, sig: &str) {
 
 /// SIGTERMs the daemon, waits (bounded) for the graceful drain, and
 /// returns its exit code and stdout.
-pub fn stop_and_collect(mut child: Child) -> (Option<i32>, String) {
-    sig(&child, "-TERM");
+pub fn stop_and_collect(mut daemon: Daemon) -> (Option<i32>, String) {
+    sig(&daemon, "-TERM");
+    let child = daemon.0.as_mut().expect("daemon in its guard");
     let deadline = Instant::now() + Duration::from_secs(30);
     while child.try_wait().expect("poll daemon").is_none() {
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("daemon did not drain within 30s of SIGTERM");
-        }
+        // Past the deadline the panic drops the guard, which kills it.
+        assert!(
+            Instant::now() <= deadline,
+            "daemon did not drain within 30s of SIGTERM"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
-    let out = child.wait_with_output().expect("collect daemon output");
+    let out = daemon
+        .take()
+        .wait_with_output()
+        .expect("collect daemon output");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),

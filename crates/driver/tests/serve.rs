@@ -18,7 +18,8 @@ mod daemon;
 use impact_driver::serve::{write_response, Response};
 
 use daemon::{
-    free_port, impactc, spawn_daemon, stop_and_collect, tmp_dir, write_hot_c, RunResult, BIN,
+    free_port, impactc, spawn_daemon, stop_and_collect, tmp_dir, write_hot_c, Daemon, RunResult,
+    BIN,
 };
 
 fn request(sock: &Path, file: &str) -> RunResult {
@@ -86,14 +87,7 @@ fn a_daemon_whose_socket_path_was_taken_over_still_drains() {
     let sock = dir.join("d.sock");
     let first = spawn_daemon(&sock, &["--jobs", "1"]);
     let first_ino = std::fs::metadata(&sock).unwrap().ino();
-    let second = Command::new(BIN)
-        .arg("serve")
-        .arg(&sock)
-        .args(["--jobs", "1"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn second daemon");
+    let second = Daemon::start(&sock, &["--jobs", "1"]);
     let deadline = Instant::now() + Duration::from_secs(20);
     while std::fs::metadata(&sock).map_or(true, |m| m.ino() == first_ino) {
         assert!(Instant::now() < deadline, "second daemon never bound");
@@ -115,6 +109,36 @@ fn a_daemon_whose_socket_path_was_taken_over_still_drains() {
         stdout.contains("; serve: drained after 1 requests, 0 ok, 0 errors, 0 shed, 1 pings,"),
         "the first daemon's drain reached the second: {stdout}"
     );
+}
+
+/// A test that panics with its daemon up leaves no daemon running: the
+/// guard kills and reaps it as the panic unwinds.
+#[test]
+fn a_panicking_test_leaves_no_daemon_running() {
+    let dir = tmp_dir("panic-guard");
+    let sock = dir.join("d.sock");
+    let mut pid = None;
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let daemon = spawn_daemon(&sock, &["--jobs", "1"]);
+        pid = Some(daemon.id().to_string());
+        panic!("the test fails with its daemon up");
+    }));
+    assert!(caught.is_err());
+    let pid = pid.expect("the daemon started");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Command::new("kill")
+        .args(["-0", &pid])
+        .stderr(Stdio::null())
+        .status()
+        .expect("run kill")
+        .success()
+    {
+        assert!(
+            Instant::now() < deadline,
+            "daemon {pid} outlived its panicking test"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]
